@@ -4,142 +4,33 @@
 //! `DcoMsg` frames; these impls extend the `dco-sim` codec to the DHT layer.
 //! Format: fields in declaration order, one tag byte per enum variant.
 
-use dco_sim::wire::{WireCodec, WireError, WireReader};
+use dco_sim::wire::wire_codec;
 
 use crate::chord::{ChordMsg, RouteToken};
 use crate::id::{ChordId, Peer};
 
-impl WireCodec for ChordId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ChordId(r.get()?))
-    }
-}
-
-impl WireCodec for Peer {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.node.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Peer {
-            id: r.get()?,
-            node: r.get()?,
-        })
-    }
-}
-
-impl WireCodec for RouteToken {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RouteToken::Join => out.push(0),
-            RouteToken::Finger(k) => {
-                out.push(1);
-                k.encode(out);
-            }
-            RouteToken::App(cookie) => {
-                out.push(2);
-                cookie.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get::<u8>()? {
-            0 => Ok(RouteToken::Join),
-            1 => Ok(RouteToken::Finger(r.get()?)),
-            2 => Ok(RouteToken::App(r.get()?)),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl WireCodec for ChordMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ChordMsg::FindSucc {
-                key,
-                origin,
-                token,
-                ttl,
-            } => {
-                out.push(0);
-                key.encode(out);
-                origin.encode(out);
-                token.encode(out);
-                ttl.encode(out);
-            }
-            ChordMsg::FoundSucc { key, succ, token } => {
-                out.push(1);
-                key.encode(out);
-                succ.encode(out);
-                token.encode(out);
-            }
-            ChordMsg::GetPred { from } => {
-                out.push(2);
-                from.encode(out);
-            }
-            ChordMsg::PredReply { pred, succs, dead } => {
-                out.push(3);
-                pred.encode(out);
-                succs.encode(out);
-                dead.encode(out);
-            }
-            ChordMsg::Notify { peer } => {
-                out.push(4);
-                peer.encode(out);
-            }
-            ChordMsg::LeaveToPred { leaving, new_succ } => {
-                out.push(5);
-                leaving.encode(out);
-                new_succ.encode(out);
-            }
-            ChordMsg::LeaveToSucc { leaving, new_pred } => {
-                out.push(6);
-                leaving.encode(out);
-                new_pred.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.get::<u8>()? {
-            0 => Ok(ChordMsg::FindSucc {
-                key: r.get()?,
-                origin: r.get()?,
-                token: r.get()?,
-                ttl: r.get()?,
-            }),
-            1 => Ok(ChordMsg::FoundSucc {
-                key: r.get()?,
-                succ: r.get()?,
-                token: r.get()?,
-            }),
-            2 => Ok(ChordMsg::GetPred { from: r.get()? }),
-            3 => Ok(ChordMsg::PredReply {
-                pred: r.get()?,
-                succs: r.get()?,
-                dead: r.get()?,
-            }),
-            4 => Ok(ChordMsg::Notify { peer: r.get()? }),
-            5 => Ok(ChordMsg::LeaveToPred {
-                leaving: r.get()?,
-                new_succ: r.get()?,
-            }),
-            6 => Ok(ChordMsg::LeaveToSucc {
-                leaving: r.get()?,
-                new_pred: r.get()?,
-            }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
+wire_codec!(struct ChordId(id));
+wire_codec!(struct Peer { id, node });
+wire_codec!(enum RouteToken {
+    0 => Join,
+    1 => Finger(k),
+    2 => App(cookie),
+});
+wire_codec!(enum ChordMsg {
+    0 => FindSucc { key, origin, token, ttl },
+    1 => FoundSucc { key, succ, token },
+    2 => GetPred { from },
+    3 => PredReply { pred, succs, dead },
+    4 => Notify { peer },
+    5 => LeaveToPred { leaving, new_succ },
+    6 => LeaveToSucc { leaving, new_pred },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dco_sim::node::NodeId;
-    use dco_sim::wire::{decode_exact, encode_to_vec};
+    use dco_sim::wire::{decode_exact, encode_to_vec, WireError};
 
     fn peer(n: u32) -> Peer {
         Peer {

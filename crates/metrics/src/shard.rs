@@ -17,7 +17,7 @@
 //! pairs instead of an 80 MB slab per worker.
 
 use dco_sim::time::SimTime;
-use dco_sim::wire::{WireCodec, WireError, WireReader};
+use dco_sim::wire::wire_codec;
 
 /// One worker's observer contribution, in wire-codable sparse form.
 ///
@@ -47,30 +47,16 @@ pub struct ObserverShard {
     pub out_of_order: u64,
 }
 
-impl WireCodec for ObserverShard {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.n_nodes.encode(out);
-        self.n_chunks.encode(out);
-        self.generated.encode(out);
-        self.receptions.encode(out);
-        self.expected_rows.encode(out);
-        self.expected_words.encode(out);
-        self.duplicates.encode(out);
-        self.out_of_order.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ObserverShard {
-            n_nodes: r.get()?,
-            n_chunks: r.get()?,
-            generated: r.get()?,
-            receptions: r.get()?,
-            expected_rows: r.get()?,
-            expected_words: r.get()?,
-            duplicates: r.get()?,
-            out_of_order: r.get()?,
-        })
-    }
-}
+wire_codec!(struct ObserverShard {
+    n_nodes,
+    n_chunks,
+    generated,
+    receptions,
+    expected_rows,
+    expected_words,
+    duplicates,
+    out_of_order,
+});
 
 #[cfg(test)]
 mod tests {

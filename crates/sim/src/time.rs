@@ -26,11 +26,11 @@ pub const MICROS_PER_MILLI: u64 = 1_000;
 /// An absolute instant on the simulation clock, in microseconds since the
 /// start of the run.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(u64);
+pub struct SimTime(pub(crate) u64);
 
 /// A non-negative span of simulated time, in microseconds.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimDuration(u64);
+pub struct SimDuration(pub(crate) u64);
 
 impl SimTime {
     /// The start of the simulation.

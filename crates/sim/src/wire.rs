@@ -8,9 +8,16 @@
 //! same binary (workers are re-execs of the orchestrator), so the format
 //! only has to be unambiguous and cheap.
 //!
+//! The base cases are written out here: the integers, `bool`, `f64`,
+//! `Option`, `Vec`, pairs and `String`. Every struct and enum on the wire
+//! is declared once with [`wire_codec!`], which generates `encode` and
+//! `decode` from the same field list, so the two cannot disagree on the
+//! order of fields or the numbering of variants.
+//!
 //! Every decode is bounds-checked: a truncated or corrupt buffer yields
 //! [`WireError`], never a panic or an out-of-bounds read.
 
+use crate::counters::CounterSnapshot;
 use crate::engine::RemoteMsg;
 use crate::msg::SizeBits;
 use crate::net::Kbps;
@@ -102,6 +109,100 @@ pub fn decode_exact<T: WireCodec>(buf: &[u8]) -> Result<T, WireError> {
     Ok(v)
 }
 
+/// Implements [`WireCodec`] for a struct or an enum from one list of its
+/// fields.
+///
+/// * `struct Name { a, b }` and `struct Name(a)` encode the fields in list
+///   order. The list must name every field.
+/// * `struct Name<T> { .. }` adds a `T: WireCodec` bound per parameter.
+/// * `enum Name { 0 => Unit, 1 => Tuple(a), 2 => Named { a, b } }` writes
+///   the tag byte, then the variant's fields in list order. An unknown tag
+///   decodes to [`WireError::BadTag`].
+///
+/// ```
+/// use dco_sim::wire::{decode_exact, encode_to_vec, wire_codec};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Meters(u32);
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Line(Meters),
+///     Rect { w: u16, h: u16 },
+/// }
+/// wire_codec!(struct Meters(m));
+/// wire_codec!(enum Shape { 0 => Dot, 1 => Line(len), 2 => Rect { w, h } });
+///
+/// let bytes = encode_to_vec(&Shape::Rect { w: 3, h: 4 });
+/// assert_eq!(bytes, [2, 3, 0, 4, 0]);
+/// assert_eq!(decode_exact::<Shape>(&bytes), Ok(Shape::Rect { w: 3, h: 4 }));
+/// ```
+#[macro_export]
+macro_rules! wire_codec {
+    (struct $name:ident $(<$($g:ident),+>)? { $($f:ident),* $(,)? }) => {
+        impl$(<$($g: $crate::wire::WireCodec),+>)? $crate::wire::WireCodec
+            for $name$(<$($g),+>)?
+        {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                let Self { $($f),* } = self;
+                $($crate::wire::WireCodec::encode($f, out);)*
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                ::core::result::Result::Ok(Self { $($f: r.get()?),* })
+            }
+        }
+    };
+    (struct $name:ident ($($f:ident),* $(,)?)) => {
+        impl $crate::wire::WireCodec for $name {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                let Self($($f),*) = self;
+                $($crate::wire::WireCodec::encode($f, out);)*
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                ::core::result::Result::Ok(Self($({
+                    let $f = r.get()?;
+                    $f
+                }),*))
+            }
+        }
+    };
+    (enum $name:ident {
+        $($tag:literal => $var:ident $(($($tf:ident),*))? $({ $($sf:ident),* })?),* $(,)?
+    }) => {
+        impl $crate::wire::WireCodec for $name {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $(Self::$var $(($($tf),*))? $({ $($sf),* })? => {
+                        out.push($tag);
+                        $($($crate::wire::WireCodec::encode($tf, out);)*)?
+                        $($($crate::wire::WireCodec::encode($sf, out);)*)?
+                    })*
+                }
+            }
+            fn decode(
+                r: &mut $crate::wire::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                match r.get::<u8>()? {
+                    $($tag => ::core::result::Result::Ok(Self::$var
+                        $(($({
+                            let $tf = r.get()?;
+                            $tf
+                        }),*))?
+                        $({ $($sf: r.get()?),* })?
+                    ),)*
+                    t => ::core::result::Result::Err($crate::wire::WireError::BadTag(t)),
+                }
+            }
+        }
+    };
+}
+
+pub use crate::wire_codec;
+
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl WireCodec for $t {
@@ -139,70 +240,6 @@ impl WireCodec for f64 {
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(f64::from_bits(r.get()?))
-    }
-}
-
-impl WireCodec for NodeId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(NodeId(r.get()?))
-    }
-}
-
-impl WireCodec for SimTime {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.as_micros().encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(SimTime::from_micros(r.get()?))
-    }
-}
-
-impl WireCodec for SimDuration {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.as_micros().encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(SimDuration::from_micros(r.get()?))
-    }
-}
-
-impl WireCodec for Kbps {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Kbps(r.get()?))
-    }
-}
-
-impl WireCodec for SizeBits {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(SizeBits(r.get()?))
-    }
-}
-
-impl<M: WireCodec> WireCodec for RemoteMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.at.encode(out);
-        self.key.encode(out);
-        self.from.encode(out);
-        self.to.encode(out);
-        self.msg.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RemoteMsg {
-            at: r.get()?,
-            key: r.get()?,
-            from: r.get()?,
-            to: r.get()?,
-            msg: r.get()?,
-        })
     }
 }
 
@@ -270,26 +307,20 @@ impl WireCodec for String {
     }
 }
 
-impl WireCodec for crate::counters::CounterSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.control_total.encode(out);
-        self.data_total.encode(out);
-        self.by_tag.encode(out);
-        self.control_per_sec.encode(out);
-        self.dropped_dead.encode(out);
-        self.dropped_fault.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(crate::counters::CounterSnapshot {
-            control_total: r.get()?,
-            data_total: r.get()?,
-            by_tag: r.get()?,
-            control_per_sec: r.get()?,
-            dropped_dead: r.get()?,
-            dropped_fault: r.get()?,
-        })
-    }
-}
+wire_codec!(struct NodeId(id));
+wire_codec!(struct Kbps(kbps));
+wire_codec!(struct SizeBits(bits));
+wire_codec!(struct SimTime(us));
+wire_codec!(struct SimDuration(us));
+wire_codec!(struct RemoteMsg<M> { at, key, from, to, msg });
+wire_codec!(struct CounterSnapshot {
+    control_total,
+    data_total,
+    by_tag,
+    control_per_sec,
+    dropped_dead,
+    dropped_fault,
+});
 
 #[cfg(test)]
 mod tests {
@@ -318,7 +349,7 @@ mod tests {
         round_trip(SimDuration::from_millis(50));
         round_trip(SizeBits(600_000));
         round_trip(Kbps(600));
-        round_trip(crate::counters::CounterSnapshot {
+        round_trip(CounterSnapshot {
             control_total: 10,
             data_total: 3,
             by_tag: vec![("chord.notify".to_string(), 4), ("lookup".to_string(), 6)],
