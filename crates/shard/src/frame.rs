@@ -14,6 +14,10 @@ use std::io::{self, Read, Write};
 /// gigabyte is a corrupt length prefix, not data.
 pub const MAX_FRAME: usize = 1 << 30;
 
+/// Payload capacity reserved before any payload byte has arrived; larger
+/// frames grow from here as they are read.
+const FIRST_CHUNK: usize = 64 << 10;
+
 /// Writes one frame. Does not flush — callers batch frames and flush at
 /// epoch boundaries.
 pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> io::Result<()> {
@@ -43,8 +47,18 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
     }
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
-    let mut payload = vec![0u8; len - 1];
-    r.read_exact(&mut payload)?;
+    // The length prefix is untrusted, so the payload grows as bytes arrive:
+    // a short stream claiming `MAX_FRAME` costs at most `FIRST_CHUNK`
+    // bytes before it fails, not a gigabyte.
+    let want = len - 1;
+    let mut payload = Vec::with_capacity(want.min(FIRST_CHUNK));
+    r.take(want as u64).read_to_end(&mut payload)?;
+    if payload.len() < want {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame truncated: {} of {want} payload bytes", payload.len()),
+        ));
+    }
     Ok((tag[0], payload))
 }
 

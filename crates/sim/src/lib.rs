@@ -83,7 +83,6 @@ pub mod rng;
 pub mod slab;
 pub mod smallvec;
 pub mod time;
-pub mod trace;
 pub mod wire;
 
 /// One-stop imports for protocol implementors.

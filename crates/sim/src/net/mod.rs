@@ -179,11 +179,6 @@ impl Network {
         self.up[node.index()].available_kbps(now, horizon)
     }
 
-    /// Spare download capacity averaged over `horizon`.
-    pub fn available_download(&self, node: NodeId, now: SimTime, horizon: SimDuration) -> Kbps {
-        self.down[node.index()].available_kbps(now, horizon)
-    }
-
     /// Configured upload rate of `node`.
     pub fn upload_rate(&self, node: NodeId) -> Kbps {
         self.up[node.index()].rate()
@@ -199,11 +194,6 @@ impl Network {
     pub fn reset_pipes(&mut self, node: NodeId, now: SimTime) {
         self.up[node.index()].reset(now);
         self.down[node.index()].reset(now);
-    }
-
-    /// Total data bits admitted to `node`'s upload pipe (diagnostic).
-    pub fn uploaded_bits(&self, node: NodeId) -> u64 {
-        self.up[node.index()].bits_admitted()
     }
 }
 
