@@ -6,20 +6,39 @@
 
 use dco_bench::ablation;
 use dco_bench::figs::FigScale;
+use dco_bench::usage_block;
+
+fn parse(args: &[String]) -> Result<FigScale, String> {
+    let mut scale = FigScale::small();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--scale" => {
+                scale = match it.next().map(String::as_str) {
+                    Some("paper") => FigScale::paper(),
+                    Some("small") => FigScale::small(),
+                    Some(other) => return Err(format!("unknown scale {other} (use paper|small)")),
+                    None => return Err("--scale needs a value (paper|small)".to_string()),
+                }
+            }
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    Ok(scale)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = match args.iter().position(|a| a == "--scale") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("paper") => FigScale::paper(),
-            Some("small") | None => FigScale::small(),
-            Some(other) => {
-                eprintln!("unknown scale {other} (use paper|small)");
-                std::process::exit(2);
-            }
-        },
-        None => FigScale::small(),
-    };
+    let usage = usage_block(include_str!("ablations.rs"));
+    if args.iter().any(|a| a == "--help") {
+        print!("{usage}");
+        return;
+    }
+    let scale = parse(&args).unwrap_or_else(|e| {
+        eprintln!("ablations: {e}");
+        eprint!("usage: {usage}");
+        std::process::exit(2);
+    });
 
     type Study = fn(&FigScale) -> Vec<ablation::AblationRow>;
     let studies: [(&str, Study); 4] = [

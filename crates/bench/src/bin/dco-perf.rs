@@ -1,494 +1,162 @@
-//! `dco-perf` — the recorded performance baseline of the simulator core.
+//! `dco-perf` — the recorded performance figures of the simulator core.
 //!
-//! Times the figures workload (§IV parameters — 100 chunks, 32 neighbors,
-//! 200 s horizon, static DCO ring — with the population scaled up) and
-//! writes `BENCH_sim_core.json` in a `dco-perf/v1` schema modelled on the
-//! sweep report's `dco-sweep/v1`. The committed JSON carries both the
-//! pre-optimization baseline (pinned in [`PRE_PR_BASELINE`], measured on
-//! the seed engine with this same harness) and the current measurement, so
-//! later PRs have a trajectory to beat.
+//! Times the figures workload — §IV parameters (DCO, 100 chunks, 32
+//! neighbors, 200 s horizon, seed 42) with the population scaled up — at
+//! each population tier and writes one `dco-perf/v2` report.
 //!
 //! ```text
-//! dco-perf [--populations 1000,5000,10000] [--runs 5]
-//!          [--out BENCH_sim_core.json] [--label NAME] [--stdout]
-//! dco-perf --scale        # large-N memory ladder → BENCH_scale.json
-//! dco-perf --scale-churn  # churn (figs 11-12) ladder → BENCH_churn_scale.json
-//! dco-perf --digests      # golden trace-digest table for tests/determinism.rs
-//! dco-perf --shards 4 --populations 100000   # multi-process run → BENCH_shard.json
+//! dco-perf [--populations 1000,10000] [--runs 3] [--churn] [--shards K]
+//!          (--out FILE | --stdout)
+//! dco-perf --digests
 //! ```
 //!
-//! `--shards K` runs the figures workload once per population as a
-//! *sharded multi-process* simulation: `K` re-execs of this binary (the
-//! hidden `--shard-worker` mode), each owning a contiguous ring arc,
-//! exchanging cross-shard messages in lookahead-sized epochs over their
-//! stdio pipes. For every population the single-process canonical run
-//! (the same key-ordered engine at `K = 1`) executes first; the sharded
-//! run's folded root digest must reproduce its set digest bit-for-bit or
-//! the run fails. `BENCH_shard.json` records per-shard event counts,
-//! cross-shard message volume, the peak-live-bytes maximum over workers,
-//! both wall clocks and the speedup — plus the host's core count, since
-//! K workers on fewer than K cores time-slice rather than parallelize
-//! (`--churn` switches the workload onto the figs 11–12 churn model).
+//! * Each tier makes `--runs` runs of the single-process FIFO engine
+//!   (`run_with_stats`).
+//! * `--shards K` makes each run two: the key-ordered engine at `K = 1` in
+//!   this process (the canonical run), then the same workload over `K`
+//!   re-execs of this binary (the hidden `--shard-worker` mode), each
+//!   owning a contiguous ring arc and exchanging cross-shard messages in
+//!   lookahead-sized epochs over its stdio pipes.
+//! * `--churn` switches to the figs 11–12 churn model
+//!   (`ChurnConfig::paper_fig11`).
+//! * `--digests` prints the golden digest table of `tests/determinism.rs`.
 //!
-//! Every run also records its trace digest: static DCO runs are
-//! deterministic, so the digest per population doubles as a cross-engine
-//! determinism check (an optimized engine must reproduce it bit-for-bit).
+//! Each tier is [`check`]ed before anything is written: repeat runs must
+//! agree, a tier in [`PINS`] must reproduce its events and digest, and a
+//! sharded run must fold back to its canonical run. A failure exits
+//! non-zero naming the tier.
 //!
-//! `--scale` runs the memory ladder (N = 1k → 100k, one run each) and
-//! writes `BENCH_scale.json`: per tier, wall clock, peak live bytes (from
-//! the counting allocator's high-water mark) and bytes per node. The
-//! bytes/node column is the flat-layout check — it must stay roughly
-//! constant as N grows (no super-linear memory).
-//!
-//! `--scale-churn` is the same ladder under the figures 11–12 churn model
-//! (`ChurnConfig::paper_fig11`: mean lifetime = join interval = 60 s, all
-//! departures abrupt, dynamic Chord ring with live stabilization), writing
-//! `BENCH_churn_scale.json`. Churn runs at a fixed seed are deterministic,
-//! so each tier's digest is pinned the same way as the static ladder —
-//! [`PRE_FLAT_CHURN_DIGESTS`] carries the pre-flattening values and any
-//! drift hard-fails the run.
+//! The report is `{"schema": "dco-perf/v2", "records": [record]}`; one
+//! record per invocation, its fields listed in EXPERIMENTS.md
+//! "Performance". Peak live bytes come from the counting global allocator.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use dco_bench::shard_run::{orchestrate, run_shard_worker, run_single_canonical, MergedRun};
 use dco_bench::sweep::json::Json;
-use dco_bench::{run_with_stats, Method, RunParams};
+use dco_bench::{run_with_stats, usage_block, Method, RunParams};
 use dco_shard::link::PipeLink;
 use dco_shard::procpool::{reap_failure, spawn_worker, WorkerProc};
 use dco_sim::counters::perf::{CountingAlloc, PerfMeter, PerfSample};
+use dco_sim::counters::CounterSnapshot;
 use dco_sim::time::{SimDuration, SimTime};
 use dco_workload::{ChurnConfig, ScenarioGrid};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Medians measured on the pre-PR engine (binary-heap calendar, deep-copy
-/// fan-out, BTreeMap DHT stores) with this harness: `(n_nodes,
-/// wall_ms_median, events, trace_digest)`. Regenerate by checking out the
-/// commit before the hot-path overhaul and running `dco-perf --stdout`.
-const PRE_PR_BASELINE: &[(u32, f64, u64, u64)] = &[
-    (1_000, 3596.764587, 7_258_472, 0xfedd_21ae_0462_f672),
-    (5_000, 42267.476771, 42_659_350, 0xabe2_aa4c_859a_84cc),
-    (10_000, 141439.299442, 91_365_887, 0x10ef_10a0_8935_a8b8),
+const SCHEMA: &str = "dco-perf/v2";
+const DEFAULT_POPULATIONS: [u32; 2] = [1_000, 10_000];
+const DEFAULT_RUNS: usize = 3;
+
+/// The engine's tie-break order among same-instant events: the
+/// single-queue FIFO engine every figure runs on (pinned by its trace
+/// digest), or the canonical-key engine of sharded runs at `K = 1`
+/// (pinned by owned events and the order-independent set digest).
+const FIFO: &str = "fifo";
+const KEYED: &str = "keyed";
+
+/// Pinned tiers of the figures workload: `(churn, order, n_nodes) →
+/// (events, digest)`. Where each row was first recorded:
+///
+/// * FIFO static 1k/5k/10k: the seed engine, before the hot-path overhaul;
+/// * FIFO static 50k/100k: the retained-observer engine, before the flat
+///   layout;
+/// * FIFO churn 1k/10k: the engine before the churn books were flattened;
+///   50k on the flat engine, the first that fits the tier;
+/// * keyed: the `K = 1` canonical run
+///   (`dco-perf --shards 1 --populations N [--churn] --stdout`).
+///
+/// A tier missing here is measured and self-checked, but not pinned.
+const PINS: &[(bool, &str, u32, u64, u64)] = &[
+    (false, FIFO, 1_000, 7_258_472, 0xfedd_21ae_0462_f672),
+    (false, FIFO, 5_000, 42_659_350, 0xabe2_aa4c_859a_84cc),
+    (false, FIFO, 10_000, 91_365_887, 0x10ef_10a0_8935_a8b8),
+    (false, FIFO, 50_000, 572_125_634, 0x5b90_2f59_2f12_da68),
+    (false, FIFO, 100_000, 1_270_885_329, 0x79c2_50f0_fd68_ba07),
+    (true, FIFO, 1_000, 13_019_723, 0x7054_7214_70b6_2603),
+    (true, FIFO, 10_000, 152_428_043, 0x8f05_16e3_66f1_8e2e),
+    (true, FIFO, 50_000, 830_212_465, 0xb2e5_7273_57d3_b252),
+    (false, KEYED, 1_000, 7_280_215, 0x2afc_390e_2ce4_91bd),
+    (false, KEYED, 10_000, 90_461_498, 0x88ef_a932_000b_b76d),
+    (true, KEYED, 1_000, 13_000_317, 0x9c2b_e5aa_ec6f_2a3c),
+    (true, KEYED, 10_000, 153_109_518, 0x506c_0da9_4974_3478),
 ];
 
-/// Digests of the figures workload measured on the retained-observer
-/// engine (the commit before the flat-layout PR) at the large-N tiers the
-/// seed engine could not reach in reasonable time. The flat engine must
-/// reproduce them bit-for-bit: the layout change is not allowed to move a
-/// single event.
-const PRE_FLAT_DIGESTS: &[(u32, u64, u64)] = &[
-    (50_000, 572_125_634, 0x5b90_2f59_2f12_da68),
-    (100_000, 1_270_885_329, 0x79c2_50f0_fd68_ba07),
-];
+/// The pinned `(events, digest)` of a tier, if it has one.
+fn pin(churn: bool, order: &str, n_nodes: u32) -> Option<(u64, u64)> {
+    PINS.iter()
+        .find(|&&(c, o, n, ..)| (c, o, n) == (churn, order, n_nodes))
+        .map(|&(.., events, digest)| (events, digest))
+}
 
-/// Digests of the churn figures workload (figs 11–12 shape,
-/// `ChurnConfig::paper_fig11`, seed 42) measured on the engine *before*
-/// the churn books were flattened, at the tiers that engine could reach
-/// (1k/10k). The flat churn path must reproduce them bit-for-bit — the
-/// CI `churn-scale-smoke` job asserts this on every PR. The 50k entry was
-/// recorded on the flat engine (the first that fits the tier) and pins
-/// the tier against future drift.
-const PRE_FLAT_CHURN_DIGESTS: &[(u32, u64, u64)] = &[
-    (1_000, 13_019_723, 0x7054_7214_70b6_2603),
-    (10_000, 152_428_043, 0x8f05_16e3_66f1_8e2e),
-    (50_000, 830_212_465, 0xb2e5_7273_57d3_b252),
-];
-
-/// Canonical single-process set digests of the sharded (key-ordered)
-/// engine on the figures workload: `(n_nodes, churn, owned_events,
-/// set_digest)`. The `K = 1` run defines them; every `K` must fold back
-/// to the same root digest, and the `shard-smoke` CI job re-checks the
-/// small tiers on each push. Regenerate with
-/// `dco-perf --shards 1 --populations N [--churn] --stdout`.
-const SHARD_CANONICAL_DIGESTS: &[(u32, bool, u64, u64)] = &[
-    (1_000, false, 7_280_215, 0x2afc_390e_2ce4_91bd),
-    (10_000, false, 90_461_498, 0x88ef_a932_000b_b76d),
-    (1_000, true, 13_000_317, 0x9c2b_e5aa_ec6f_2a3c),
-    (10_000, true, 153_109_518, 0x506c_0da9_4974_3478),
-];
-
-const PRE_PR_LABEL: &str = "pre-pr2-seed-engine";
-const DEFAULT_POPULATIONS: [u32; 3] = [1_000, 5_000, 10_000];
-/// The `--scale` memory ladder.
-const SCALE_POPULATIONS: [u32; 4] = [1_000, 10_000, 50_000, 100_000];
-/// The `--scale-churn` ladder (churn runs cost ~7x static per node, so
-/// the ladder tops out at 50k; the 50k tier runs nightly, not per-PR).
-const CHURN_SCALE_POPULATIONS: [u32; 3] = [1_000, 10_000, 50_000];
-const DEFAULT_RUNS: usize = 5;
-const DEFAULT_OUT: &str = "BENCH_sim_core.json";
-const SCALE_OUT: &str = "BENCH_scale.json";
-const CHURN_SCALE_OUT: &str = "BENCH_churn_scale.json";
-const SHARD_OUT: &str = "BENCH_shard.json";
-/// Default populations of the `--shards` mode (CI smoke overrides with
-/// `--populations`; the headline run passes `--populations 100000`).
-const SHARD_POPULATIONS: [u32; 2] = [1_000, 10_000];
-
-/// The figures workload at population `n`: §IV defaults with the node
-/// count overridden and the seed fixed (static DCO is seed-invariant).
-fn figures_params(n_nodes: u32) -> RunParams {
+/// The figures workload at population `n_nodes`: §IV defaults, seed 42,
+/// and the figs 11–12 churn model when `churn` is set.
+fn figures_params(n_nodes: u32, churn: bool) -> RunParams {
     let mut p = RunParams::paper_default(42);
     p.n_nodes = n_nodes;
-    p
-}
-
-/// The churn figures workload (figs 11–12 shape) at population `n`: the
-/// same §IV defaults under `ChurnConfig::paper_fig11` — mean lifetime =
-/// join interval = 60 s, all departures abrupt — which switches the run
-/// onto the dynamic Chord ring (live stabilization, finger repair,
-/// coordinator churn).
-fn churn_figures_params(n_nodes: u32) -> RunParams {
-    let mut p = figures_params(n_nodes);
-    p.churn = Some(ChurnConfig::paper_fig11());
-    p
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-struct PopulationReport {
-    n_nodes: u32,
-    samples: Vec<PerfSample>,
-    trace_digest: u64,
-}
-
-impl PopulationReport {
-    /// Peak live bytes over the runs (they are deterministic, so max ≈
-    /// median; max is robust against a cold first run).
-    fn peak_live_bytes(&self) -> u64 {
-        self.samples
-            .iter()
-            .map(|s| s.peak_live_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-fn measure_population(n_nodes: u32, runs: usize) -> PopulationReport {
-    measure_workload(n_nodes, runs, false)
-}
-
-fn measure_workload(n_nodes: u32, runs: usize, churn: bool) -> PopulationReport {
-    let params = if churn {
-        churn_figures_params(n_nodes)
-    } else {
-        figures_params(n_nodes)
-    };
-    let mut samples = Vec::with_capacity(runs);
-    let mut trace_digest = None;
-    for run in 0..runs {
-        let meter = PerfMeter::start();
-        let stats = run_with_stats(Method::Dco, &params);
-        let sample = meter.finish(stats.proof.events);
-        eprintln!(
-            "  n={n_nodes} run {}/{}: {:.1} ms, {} events ({:.2} Mev/s), {} allocs, peak {:.1} MiB",
-            run + 1,
-            runs,
-            sample.wall_ms(),
-            sample.events,
-            sample.events_per_sec() / 1e6,
-            sample.alloc.allocs,
-            sample.peak_live_bytes as f64 / (1024.0 * 1024.0),
-        );
-        match trace_digest {
-            None => trace_digest = Some(stats.proof.trace_digest),
-            Some(d) => assert_eq!(
-                d, stats.proof.trace_digest,
-                "n={n_nodes}: repeat run diverged — determinism bug"
-            ),
-        }
-        samples.push(sample);
-    }
-    let report = PopulationReport {
-        n_nodes,
-        samples,
-        trace_digest: trace_digest.expect("runs >= 1"),
-    };
-    let pinned = if churn {
-        PRE_FLAT_CHURN_DIGESTS
-    } else {
-        PRE_FLAT_DIGESTS
-    };
-    if let Some((_, events, digest)) = pinned.iter().find(|(n, ..)| *n == n_nodes) {
-        let sample_events = report.samples[0].events;
-        assert_eq!(
-            *digest, report.trace_digest,
-            "n={n_nodes}: trace digest {:#018x} diverged from the pre-flat engine — \
-             the layout change moved an event",
-            report.trace_digest
-        );
-        assert_eq!(*events, sample_events, "n={n_nodes}: event count diverged");
-        eprintln!("  n={n_nodes}: digest matches pre-flat engine");
-    }
-    report
-}
-
-fn population_json(rep: &PopulationReport) -> Json {
-    let mut wall: Vec<f64> = rep.samples.iter().map(|s| s.wall_ms()).collect();
-    let runs_json = Json::Arr(wall.iter().map(|w| Json::Num(*w)).collect());
-    let wall_median = median(&mut wall);
-    let wall_min = wall.first().copied().unwrap_or(0.0);
-    let wall_mean = wall.iter().sum::<f64>() / wall.len().max(1) as f64;
-    let events = rep.samples.first().map(|s| s.events).unwrap_or(0);
-    let events_per_sec = if wall_median > 0.0 {
-        events as f64 / (wall_median / 1e3)
-    } else {
-        0.0
-    };
-    let allocs = rep
-        .samples
-        .iter()
-        .map(|s| s.alloc.allocs)
-        .min()
-        .unwrap_or(0);
-    let alloc_bytes = rep.samples.iter().map(|s| s.alloc.bytes).min().unwrap_or(0);
-    let peak_live = rep.peak_live_bytes();
-    let live_end = rep
-        .samples
-        .iter()
-        .map(|s| s.live_bytes_end)
-        .max()
-        .unwrap_or(0);
-    let baseline = PRE_PR_BASELINE.iter().find(|(n, ..)| *n == rep.n_nodes);
-    let mut pairs = vec![
-        ("n_nodes", Json::Int(u64::from(rep.n_nodes))),
-        ("wall_ms_median", Json::Num(wall_median)),
-        ("wall_ms_min", Json::Num(wall_min)),
-        ("wall_ms_mean", Json::Num(wall_mean)),
-        ("wall_ms_runs", runs_json),
-        ("events", Json::Int(events)),
-        ("events_per_sec_median", Json::Num(events_per_sec)),
-        ("allocs_min", Json::Int(allocs)),
-        ("alloc_bytes_min", Json::Int(alloc_bytes)),
-        ("peak_live_bytes", Json::Int(peak_live)),
-        (
-            "bytes_per_node",
-            Json::Int(peak_live / u64::from(rep.n_nodes.max(1))),
-        ),
-        ("live_bytes_end", Json::Int(live_end)),
-        ("trace_digest", Json::hex(rep.trace_digest)),
-    ];
-    if let Some((_, base_ms, base_events, base_digest)) = baseline {
-        pairs.push(("baseline_wall_ms_median", Json::Num(*base_ms)));
-        pairs.push((
-            "speedup_vs_baseline",
-            if wall_median > 0.0 {
-                Json::Num(base_ms / wall_median)
-            } else {
-                Json::Null
-            },
-        ));
-        pairs.push((
-            "events_match_baseline",
-            Json::Bool(*base_events == 0 || *base_events == events),
-        ));
-        pairs.push((
-            "trace_digest_matches_baseline",
-            Json::Bool(*base_digest == 0 || *base_digest == rep.trace_digest),
-        ));
-    }
-    Json::obj(pairs)
-}
-
-fn baseline_json() -> Json {
-    Json::obj(vec![
-        ("label", Json::str(PRE_PR_LABEL)),
-        (
-            "populations",
-            Json::Arr(
-                PRE_PR_BASELINE
-                    .iter()
-                    .map(|(n, ms, events, digest)| {
-                        Json::obj(vec![
-                            ("n_nodes", Json::Int(u64::from(*n))),
-                            ("wall_ms_median", Json::Num(*ms)),
-                            ("events", Json::Int(*events)),
-                            ("trace_digest", Json::hex(*digest)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn report_json(label: &str, runs: usize, reports: &[PopulationReport]) -> Json {
-    let params = figures_params(0);
-    Json::obj(vec![
-        ("schema", Json::str("dco-perf/v1")),
-        (
-            "scenario",
-            Json::obj(vec![
-                ("method", Json::str("DCO")),
-                ("n_chunks", Json::Int(u64::from(params.n_chunks))),
-                ("neighbors", Json::Int(params.neighbors as u64)),
-                ("horizon_s", Json::Int(params.horizon.as_secs())),
-                ("seed", Json::Int(params.seed)),
-                ("churn", Json::Bool(false)),
-            ]),
-        ),
-        ("runs_per_population", Json::Int(runs as u64)),
-        ("baseline", baseline_json()),
-        (
-            "current",
-            Json::obj(vec![
-                ("label", Json::str(label)),
-                (
-                    "populations",
-                    Json::Arr(reports.iter().map(population_json).collect()),
-                ),
-            ]),
-        ),
-    ])
-}
-
-/// Runs the `--scale` / `--scale-churn` memory ladder: the (static or
-/// churn) figures workload at each tier, one run each, reporting peak
-/// live bytes and bytes/node. Returns the report JSON.
-fn run_scale(label: &str, churn: bool, tiers: &[u32]) -> Json {
-    let reports: Vec<PopulationReport> = tiers
-        .iter()
-        .map(|&n| measure_workload(n, 1, churn))
-        .collect();
-    // Linearity check: bytes/node at the largest tier vs the smallest.
-    // Flat layouts keep this ratio near 1; the retained observer's
-    // audience × chunk growth pushed it well above.
-    let bytes_per_node =
-        |rep: &PopulationReport| rep.peak_live_bytes() as f64 / f64::from(rep.n_nodes.max(1));
-    let growth = match (reports.first(), reports.last()) {
-        (Some(a), Some(b)) if bytes_per_node(a) > 0.0 => bytes_per_node(b) / bytes_per_node(a),
-        _ => 0.0,
-    };
-    eprintln!("dco-perf: bytes/node growth smallest→largest tier: {growth:.2}x");
-    let tiers = reports
-        .iter()
-        .map(|rep| {
-            let sample = &rep.samples[0];
-            Json::obj(vec![
-                ("n_nodes", Json::Int(u64::from(rep.n_nodes))),
-                ("wall_ms", Json::Num(sample.wall_ms())),
-                ("events", Json::Int(sample.events)),
-                ("events_per_sec", Json::Num(sample.events_per_sec())),
-                ("peak_live_bytes", Json::Int(rep.peak_live_bytes())),
-                (
-                    "bytes_per_node",
-                    Json::Int(rep.peak_live_bytes() / u64::from(rep.n_nodes.max(1))),
-                ),
-                ("live_bytes_end", Json::Int(sample.live_bytes_end)),
-                ("trace_digest", Json::hex(rep.trace_digest)),
-            ])
-        })
-        .collect();
-    let params = figures_params(0);
-    Json::obj(vec![
-        ("schema", Json::str("dco-scale/v1")),
-        ("label", Json::str(label)),
-        (
-            "scenario",
-            Json::obj(vec![
-                ("method", Json::str("DCO")),
-                ("n_chunks", Json::Int(u64::from(params.n_chunks))),
-                ("neighbors", Json::Int(params.neighbors as u64)),
-                ("horizon_s", Json::Int(params.horizon.as_secs())),
-                ("seed", Json::Int(params.seed)),
-                ("churn", Json::Bool(churn)),
-            ]),
-        ),
-        (
-            "bytes_per_node_growth_smallest_to_largest",
-            Json::Num(growth),
-        ),
-        ("populations", Json::Arr(tiers)),
-    ])
-}
-
-fn shard_params(n_nodes: u32, churn: bool) -> RunParams {
     if churn {
-        churn_figures_params(n_nodes)
-    } else {
-        figures_params(n_nodes)
+        p.churn = Some(ChurnConfig::paper_fig11());
     }
+    p
 }
 
-/// Hidden `--shard-worker` mode: run one shard's arc of the figures
-/// workload, speaking the epoch protocol over this process's stdio.
-fn shard_worker_main(args: &Args) -> Result<(), String> {
-    let me = args.shard_worker.expect("worker mode");
-    if args.shards == 0 || me >= args.shards {
-        return Err(format!("--shard-worker {me} needs --shards > {me}"));
-    }
-    let n = *args
-        .populations
-        .first()
-        .ok_or("worker needs --populations N")?;
-    let params = shard_params(n, args.churn);
-    let mut link = PipeLink::new(std::io::stdin(), std::io::stdout());
-    run_shard_worker(&params, args.shards, me, &mut link).map_err(|e| format!("worker {me}: {e}"))
+/// One measured run of a tier.
+struct Run {
+    /// The single-process run; its `events` count what the pins count,
+    /// all dispatched events (FIFO) or owned events (keyed).
+    sample: PerfSample,
+    /// Trace digest (FIFO) or set digest (keyed).
+    digest: u64,
+    received_pct: f64,
+    counters: CounterSnapshot,
+    /// With `--shards`: the K-process run and its wall clock in ms, from
+    /// spawn to the last worker's exit.
+    sharded: Option<(f64, MergedRun)>,
 }
 
-/// One population tier of the `--shards` mode: canonical single-process
-/// run, then the K-process run, digests cross-checked.
-struct ShardTier {
-    n_nodes: u32,
-    single: dco_bench::shard_run::SingleRun,
-    single_peak_live: u64,
-    merged: MergedRun,
-    sharded_wall_ms: f64,
-}
-
-fn run_shard_tier(n: u32, churn: bool, k: u8) -> Result<ShardTier, String> {
-    let params = shard_params(n, churn);
-    eprintln!("dco-perf: n={n} churn={churn}: single-process canonical run");
+/// Makes one run of `params`: the FIFO engine when `shards == 0`, else
+/// the canonical run followed by the `shards`-process run.
+fn measure_run(params: &RunParams, shards: u8) -> Result<Run, String> {
     let meter = PerfMeter::start();
-    let single = run_single_canonical(&params);
-    let single_sample = meter.finish(single.events_processed);
-    eprintln!(
-        "  single: {:.1} ms, {} owned events, set digest {:#018x}, peak {:.1} MiB",
-        single.wall_ms,
-        single.owned_events,
-        single.set_digest,
-        single_sample.peak_live_bytes as f64 / (1024.0 * 1024.0),
-    );
-    if let Some(&(_, _, events, digest)) = SHARD_CANONICAL_DIGESTS
-        .iter()
-        .find(|&&(nn, ch, ..)| nn == n && ch == churn)
-    {
-        if digest != single.set_digest || events != single.owned_events {
-            return Err(format!(
-                "n={n} churn={churn}: canonical run drifted from the pinned table: \
-                 owned={} set={:#018x}, pinned owned={events} set={digest:#018x}",
-                single.owned_events, single.set_digest
-            ));
-        }
-        eprintln!("  canonical digest matches the pinned table");
+    if shards == 0 {
+        let stats = run_with_stats(Method::Dco, params);
+        return Ok(Run {
+            sample: meter.finish(stats.proof.events),
+            digest: stats.proof.trace_digest,
+            received_pct: stats.result.received_pct,
+            counters: stats.proof.snapshot,
+            sharded: None,
+        });
     }
-
-    eprintln!("  spawning {k} shard workers");
+    let single = run_single_canonical(params).map_err(|e| e.to_string())?;
+    let sample = meter.finish(single.owned_events);
     let t0 = Instant::now();
+    let merged = run_workers(params, shards)?;
+    Ok(Run {
+        sample,
+        digest: single.set_digest,
+        received_pct: single.figures.received_pct,
+        counters: single.counters,
+        sharded: Some((t0.elapsed().as_secs_f64() * 1e3, merged)),
+    })
+}
+
+/// Spawns `k` shard workers, relays their epochs and folds their results.
+fn run_workers(params: &RunParams, k: u8) -> Result<MergedRun, String> {
     let mut workers: Vec<WorkerProc> = Vec::with_capacity(usize::from(k));
     for me in 0..k {
-        let mut argv = vec![
-            "--shard-worker".to_string(),
-            me.to_string(),
-            "--shards".to_string(),
-            k.to_string(),
-            "--populations".to_string(),
-            n.to_string(),
-        ];
-        if churn {
-            argv.push("--churn".to_string());
-        }
+        let churn = if params.churn.is_some() {
+            " --churn"
+        } else {
+            ""
+        };
+        let argv = format!(
+            "--shard-worker {me} --shards {k} --populations {}{churn}",
+            params.n_nodes
+        );
+        let argv: Vec<String> = argv.split(' ').map(String::from).collect();
         match spawn_worker(&argv, usize::from(me)) {
             Ok(w) => workers.push(w),
             Err(e) => return Err(reap_failure(workers, e).to_string()),
@@ -496,174 +164,230 @@ fn run_shard_tier(n: u32, churn: bool, k: u8) -> Result<ShardTier, String> {
     }
     let merged = {
         let mut links: Vec<_> = workers.iter_mut().map(|w| &mut w.link).collect();
-        orchestrate(&params, &mut links)
+        orchestrate(params, &mut links)
     };
     let merged = match merged {
         Ok(m) => m,
         Err(e) => return Err(reap_failure(workers, e).to_string()),
     };
-    let mut finish_err = None;
-    for w in workers {
-        if let Err(e) = w.finish() {
-            finish_err.get_or_insert(e);
-        }
+    // Reap every worker before reporting the first failure.
+    let finished: Vec<_> = workers.into_iter().map(WorkerProc::finish).collect();
+    match finished.into_iter().find_map(Result::err) {
+        Some(e) => Err(e.to_string()),
+        None => Ok(merged),
     }
-    if let Some(e) = finish_err {
-        return Err(e.to_string());
-    }
-    let sharded_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    if merged.root_digest != single.set_digest {
-        return Err(format!(
-            "n={n} K={k}: root digest {:#018x} != canonical {:#018x} — sharding moved an event",
-            merged.root_digest, single.set_digest
-        ));
-    }
-    if merged.owned_events != single.owned_events {
-        return Err(format!(
-            "n={n} K={k}: owned event count {} != canonical {}",
-            merged.owned_events, single.owned_events
-        ));
-    }
-    if merged.counters != single.counters {
-        return Err(format!(
-            "n={n} K={k}: merged counters diverged from canonical"
-        ));
-    }
-    if merged.figures.received_pct.to_bits() != single.figures.received_pct.to_bits() {
-        return Err(format!(
-            "n={n} K={k}: merged received% {} != canonical {}",
-            merged.figures.received_pct, single.figures.received_pct
-        ));
-    }
-    eprintln!(
-        "  sharded K={k}: {sharded_wall_ms:.1} ms wall ({:.2}x vs single), {} epochs, \
-         {} cross-shard msgs in {} batches ({} bytes), root digest OK",
-        single.wall_ms / sharded_wall_ms.max(1e-9),
-        merged.epochs,
-        merged.remote_msgs,
-        merged.forwarded_batches,
-        merged.forwarded_bytes,
-    );
-    Ok(ShardTier {
-        n_nodes: n,
-        single,
-        single_peak_live: single_sample.peak_live_bytes,
-        merged,
-        sharded_wall_ms,
-    })
 }
 
-fn shard_tier_json(tier: &ShardTier) -> Json {
-    let m = &tier.merged;
-    let peak_max = m
-        .workers
-        .iter()
-        .map(|w| w.peak_live_bytes)
-        .max()
-        .unwrap_or(0);
-    let workers = m
-        .workers
-        .iter()
-        .map(|w| {
-            Json::obj(vec![
-                ("shard", Json::Int(u64::from(w.shard))),
-                ("owned_events", Json::Int(w.owned_events)),
-                ("events_processed", Json::Int(w.events_processed)),
-                ("remote_msgs_sent", Json::Int(w.remote_msgs_sent)),
-                ("set_digest", Json::hex(w.set_digest)),
-                ("wall_ms", Json::Num(w.wall_ms)),
-                ("allocs", Json::Int(w.allocs)),
-                ("peak_live_bytes", Json::Int(w.peak_live_bytes)),
-            ])
-        })
-        .collect();
+/// Checks a measured tier before it may be reported: every run
+/// reproduces the first, a pinned tier reproduces its pin, and every
+/// sharded run folds back to its canonical run (root digest, owned events,
+/// counters, received %). The error names the tier.
+fn check(churn: bool, order: &str, n_nodes: u32, runs: &[Run]) -> Result<(), String> {
+    let name = format!("n={n_nodes} churn={churn} order={order}");
+    let first = runs.first().ok_or(format!("{name}: no runs"))?;
+    let got = (first.sample.events, first.digest);
+    if let Some(want) = pin(churn, order, n_nodes).filter(|&want| want != got) {
+        return Err(format!(
+            "{name}: (events, digest) {got:x?} != pin {want:x?}"
+        ));
+    }
+    for (i, run) in runs.iter().enumerate() {
+        let again = (run.sample.events, run.digest);
+        if again != got {
+            return Err(format!(
+                "{name}: run {} {again:x?} != run 1 {got:x?}",
+                i + 1
+            ));
+        }
+        let Some((_, m)) = &run.sharded else { continue };
+        let received = m.figures.received_pct.to_bits() == run.received_pct.to_bits();
+        let folds = [
+            ("root digest", m.root_digest == run.digest),
+            ("owned events", m.owned_events == run.sample.events),
+            ("counters", m.counters == run.counters),
+            ("received %", received),
+        ];
+        if let Some((what, _)) = folds.iter().find(|(_, same)| !same) {
+            let k = m.workers.len();
+            return Err(format!(
+                "{name} K={k}: {what} differs from the canonical run"
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    match xs.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => xs[n / 2],
+        n => (xs[n / 2 - 1] + xs[n / 2]) / 2.0,
+    }
+}
+
+fn ms_json(walls: &[f64]) -> Json {
+    Json::Arr(walls.iter().map(|&w| Json::Num(w)).collect())
+}
+
+fn shard_json(sharded: &[&(f64, MergedRun)], tier_wall_median: f64) -> Json {
+    let walls: Vec<f64> = sharded.iter().map(|(wall, _)| *wall).collect();
+    let wall_median = median(&walls);
+    let m = &sharded[sharded.len() - 1].1;
+    let workers = m.workers.iter().map(|w| {
+        Json::obj(vec![
+            ("shard", Json::Int(u64::from(w.shard))),
+            ("owned_events", Json::Int(w.owned_events)),
+            ("events_processed", Json::Int(w.events_processed)),
+            ("remote_msgs_sent", Json::Int(w.remote_msgs_sent)),
+            ("set_digest", Json::hex(w.set_digest)),
+            ("wall_ms", Json::Num(w.wall_ms)),
+            ("allocs", Json::Int(w.allocs)),
+            ("peak_live_bytes", Json::Int(w.peak_live_bytes)),
+        ])
+    });
+    let peak_max = m.workers.iter().map(|w| w.peak_live_bytes).max();
     Json::obj(vec![
-        ("n_nodes", Json::Int(u64::from(tier.n_nodes))),
-        (
-            "single_process",
-            Json::obj(vec![
-                ("wall_ms", Json::Num(tier.single.wall_ms)),
-                ("owned_events", Json::Int(tier.single.owned_events)),
-                ("set_digest", Json::hex(tier.single.set_digest)),
-                ("peak_live_bytes", Json::Int(tier.single_peak_live)),
-                ("received_pct", Json::Num(tier.single.figures.received_pct)),
-            ]),
-        ),
-        (
-            "sharded",
-            Json::obj(vec![
-                ("wall_ms", Json::Num(tier.sharded_wall_ms)),
-                ("root_digest", Json::hex(m.root_digest)),
-                ("digest_matches_single_process", Json::Bool(true)),
-                ("owned_events", Json::Int(m.owned_events)),
-                ("events_processed_total", Json::Int(m.events_processed)),
-                ("epochs", Json::Int(m.epochs)),
-                ("cross_shard_msgs", Json::Int(m.remote_msgs)),
-                ("cross_shard_batches", Json::Int(m.forwarded_batches)),
-                ("cross_shard_bytes", Json::Int(m.forwarded_bytes)),
-                ("peak_live_bytes_max_over_workers", Json::Int(peak_max)),
-                ("received_pct", Json::Num(m.figures.received_pct)),
-                ("workers", Json::Arr(workers)),
-            ]),
-        ),
-        (
-            "speedup_vs_single_process",
-            if tier.sharded_wall_ms > 0.0 {
-                Json::Num(tier.single.wall_ms / tier.sharded_wall_ms)
-            } else {
-                Json::Null
-            },
-        ),
+        ("k", Json::Int(m.workers.len() as u64)),
+        ("wall_ms_runs", ms_json(&walls)),
+        ("wall_ms_median", Json::Num(wall_median)),
+        ("speedup", Json::Num(tier_wall_median / wall_median)),
+        ("root_digest", Json::hex(m.root_digest)),
+        ("owned_events", Json::Int(m.owned_events)),
+        ("events_processed", Json::Int(m.events_processed)),
+        ("epochs", Json::Int(m.epochs)),
+        ("cross_shard_msgs", Json::Int(m.remote_msgs)),
+        ("cross_shard_batches", Json::Int(m.forwarded_batches)),
+        ("cross_shard_bytes", Json::Int(m.forwarded_bytes)),
+        ("peak_live_bytes_max", Json::Int(peak_max.unwrap_or(0))),
+        ("received_pct", Json::Num(m.figures.received_pct)),
+        ("workers", Json::Arr(workers.collect())),
     ])
 }
 
-fn run_shards(args: &Args) -> Result<Json, String> {
-    let k = args.shards;
-    let tiers: Vec<u32> = if args.populations_explicit {
-        args.populations.clone()
-    } else {
-        SHARD_POPULATIONS.to_vec()
+fn tier_json((n_nodes, runs): &(u32, Vec<Run>)) -> Json {
+    let samples: Vec<&PerfSample> = runs.iter().map(|r| &r.sample).collect();
+    let walls: Vec<f64> = samples.iter().map(|s| s.wall_ms()).collect();
+    let wall_median = median(&walls);
+    let first = &runs[0];
+    let events = first.sample.events;
+    // Allocator figures: the least turnover and the highest water marks
+    // over the runs (runs are deterministic; this is robust to a cold
+    // first run).
+    let allocs = samples.iter().map(|s| s.alloc.allocs).min().unwrap_or(0);
+    let alloc_bytes = samples.iter().map(|s| s.alloc.bytes).min().unwrap_or(0);
+    let peak = samples.iter().map(|s| s.peak_live_bytes).max().unwrap_or(0);
+    let live_end = samples.iter().map(|s| s.live_bytes_end).max().unwrap_or(0);
+    let sharded: Vec<_> = runs.iter().filter_map(|r| r.sharded.as_ref()).collect();
+    let shard = match sharded.is_empty() {
+        true => Json::Null,
+        false => shard_json(&sharded, wall_median),
     };
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-    eprintln!(
-        "dco-perf: sharded mode, K={k}, populations {tiers:?}, churn={}, host cores {host_cores}",
-        args.churn
-    );
-    if host_cores < u64::from(k) {
-        eprintln!(
-            "dco-perf: note: {k} workers on {host_cores} core(s) time-slice — \
-             expect speedup <= 1; digests are still fully checked"
-        );
-    }
-    let reports: Vec<ShardTier> = tiers
-        .iter()
-        .map(|&n| run_shard_tier(n, args.churn, k))
-        .collect::<Result<_, _>>()?;
-    let params = shard_params(0, args.churn);
-    Ok(Json::obj(vec![
-        ("schema", Json::str("dco-shard/v1")),
-        ("label", Json::str(&args.label)),
-        ("k_shards", Json::Int(u64::from(k))),
-        ("host_cores", Json::Int(host_cores)),
+    let events_per_sec = events as f64 / (wall_median / 1e3);
+    let bytes_per_node = peak / u64::from((*n_nodes).max(1));
+    Json::obj(vec![
+        ("n_nodes", Json::Int(u64::from(*n_nodes))),
+        ("wall_ms_runs", ms_json(&walls)),
+        ("wall_ms_median", Json::Num(wall_median)),
+        ("events", Json::Int(events)),
+        ("events_per_sec", Json::Num(events_per_sec)),
+        ("allocs", Json::Int(allocs)),
+        ("alloc_bytes", Json::Int(alloc_bytes)),
+        ("peak_live_bytes", Json::Int(peak)),
+        ("bytes_per_node", Json::Int(bytes_per_node)),
+        ("live_bytes_end", Json::Int(live_end)),
+        ("received_pct", Json::Num(first.received_pct)),
+        ("trace_digest", Json::hex(first.digest)),
+        ("shard", shard),
+    ])
+}
+
+fn host_cores() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+}
+
+/// The whole report: one record of this invocation's tiers.
+fn report_json(args: &Args, order: &str, tiers: &[(u32, Vec<Run>)]) -> Json {
+    let p = figures_params(0, args.churn);
+    let record = Json::obj(vec![
+        ("label", Json::str("current")),
+        ("host_cores", Json::Int(host_cores())),
         (
             "scenario",
             Json::obj(vec![
                 ("method", Json::str("DCO")),
-                ("n_chunks", Json::Int(u64::from(params.n_chunks))),
-                ("neighbors", Json::Int(params.neighbors as u64)),
-                ("horizon_s", Json::Int(params.horizon.as_secs())),
-                ("seed", Json::Int(params.seed)),
+                ("n_chunks", Json::Int(u64::from(p.n_chunks))),
+                ("neighbors", Json::Int(p.neighbors as u64)),
+                ("horizon_s", Json::Int(p.horizon.as_secs())),
+                ("seed", Json::Int(p.seed)),
                 ("churn", Json::Bool(args.churn)),
+                ("order", Json::str(order)),
             ]),
         ),
-        (
-            "populations",
-            Json::Arr(reports.iter().map(shard_tier_json).collect()),
-        ),
-    ]))
+        ("runs", Json::Int(args.runs as u64)),
+        ("tiers", Json::Arr(tiers.iter().map(tier_json).collect())),
+    ]);
+    Json::obj(vec![
+        ("schema", Json::str(SCHEMA)),
+        ("records", Json::Arr(vec![record])),
+    ])
+}
+
+/// Measures, checks and reports every tier of `args`.
+fn run_tiers(args: &Args) -> Result<(), String> {
+    let (k, order) = (args.shards, if args.shards == 0 { FIFO } else { KEYED });
+    let cores = host_cores();
+    eprintln!(
+        "dco-perf: populations {:?}, {} runs, churn={}, order={order}, shards={k}, host cores {cores}",
+        args.populations, args.runs, args.churn
+    );
+    if cores < u64::from(k) {
+        eprintln!("dco-perf: note: {k} workers on {cores} core(s) time-slice; expect speedup <= 1");
+    }
+    let mut tiers = Vec::with_capacity(args.populations.len());
+    for &n in &args.populations {
+        let params = figures_params(n, args.churn);
+        let mut runs = Vec::with_capacity(args.runs);
+        for i in 1..=args.runs {
+            let run = measure_run(&params, args.shards)?;
+            let (s, mib) = (&run.sample, run.sample.peak_live_bytes >> 20);
+            let (ms, ev) = (s.wall_ms(), s.events);
+            eprintln!(
+                "  n={n} run {i}: {ms:.1} ms, {ev} events, peak {mib} MiB, {:#018x}",
+                run.digest
+            );
+            if let Some((wall_ms, m)) = &run.sharded {
+                let (msgs, bytes) = (m.remote_msgs, m.forwarded_bytes);
+                eprintln!("    K={k}: {wall_ms:.1} ms, {msgs} cross-shard msgs, {bytes} bytes");
+            }
+            runs.push(run);
+        }
+        check(args.churn, order, n, &runs)?;
+        let pinned = pin(args.churn, order, n).map_or("", |_| ", matches its pin");
+        eprintln!("  n={n}: checked{pinned}");
+        tiers.push((n, runs));
+    }
+    let json = report_json(args, order, &tiers).render_pretty();
+    match &args.out {
+        None => print!("{json}"),
+        Some(path) => {
+            std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("dco-perf: wrote {path}");
+        }
+    }
+    Ok(())
+}
+
+/// Hidden `--shard-worker` mode: run one shard's arc of the figures
+/// workload, speaking the epoch protocol over this process's stdio.
+fn shard_worker_main(args: &Args, me: u8) -> Result<(), String> {
+    if me >= args.shards {
+        return Err(format!("--shard-worker {me} needs --shards > {me}"));
+    }
+    let params = figures_params(args.populations[0], args.churn);
+    let mut link = PipeLink::new(std::io::stdin(), std::io::stdout());
+    run_shard_worker(&params, args.shards, me, &mut link).map_err(|e| format!("worker {me}: {e}"))
 }
 
 /// Prints the golden trace-digest table for the five cross-protocol seeds:
@@ -691,11 +415,10 @@ fn print_digest_table() {
                     fill_offset: SimDuration::from_secs(5),
                     seed,
                 };
-                let stats = run_with_stats(method, &params);
+                let digest = run_with_stats(method, &params).proof.trace_digest;
                 println!(
-                    "    ({:?}, {churn}, {seed:#x}, {:#018x}),",
-                    method.label(),
-                    stats.proof.trace_digest
+                    "    ({:?}, {churn}, {seed:#x}, {digest:#018x}),",
+                    method.label()
                 );
             }
         }
@@ -703,58 +426,51 @@ fn print_digest_table() {
     println!("];");
 }
 
-fn parse_args() -> Result<Args, String> {
+#[derive(Default)]
+struct Args {
+    populations: Vec<u32>,
+    runs: usize,
+    churn: bool,
+    /// Worker processes per sharded run; 0 runs the FIFO engine instead.
+    shards: u8,
+    /// Where the report goes; `None` is stdout.
+    out: Option<String>,
+    digests: bool,
+    /// Hidden: this process is shard worker `me` of `shards` — speak the
+    /// epoch protocol on stdin/stdout and exit.
+    shard_worker: Option<u8>,
+}
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         populations: DEFAULT_POPULATIONS.to_vec(),
-        populations_explicit: false,
         runs: DEFAULT_RUNS,
-        out: DEFAULT_OUT.to_string(),
-        label: "current".to_string(),
-        stdout: false,
-        digests: false,
-        scale: false,
-        scale_churn: false,
-        churn: false,
-        shards: 0,
-        shard_worker: None,
+        ..Args::default()
     };
-    let mut it = std::env::args().skip(1);
+    let mut stdout = false;
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
+        let mut value = || it.next().ok_or_else(|| format!("{arg} expects a value"));
         match arg.as_str() {
             "--populations" => {
-                args.populations = value("--populations")?
+                args.populations = value()?
                     .split(',')
                     .map(|s| s.trim().parse::<u32>().map_err(|e| format!("{s}: {e}")))
                     .collect::<Result<_, _>>()?;
-                args.populations_explicit = true;
             }
-            "--runs" => {
-                args.runs = value("--runs")?
-                    .parse()
-                    .map_err(|e| format!("--runs: {e}"))?;
-            }
-            "--out" => args.out = value("--out")?,
-            "--label" => args.label = value("--label")?,
-            "--stdout" => args.stdout = true,
-            "--digests" => args.digests = true,
-            "--scale" => args.scale = true,
-            "--scale-churn" => args.scale_churn = true,
+            "--runs" => args.runs = value()?.parse().map_err(|e| format!("--runs: {e}"))?,
             "--churn" => args.churn = true,
             "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
+                args.shards = value()?.parse().map_err(|e| format!("--shards: {e}"))?;
                 if args.shards == 0 {
                     return Err("--shards needs at least 1".to_string());
                 }
             }
+            "--out" => args.out = Some(value()?),
+            "--stdout" => stdout = true,
+            "--digests" => args.digests = true,
             "--shard-worker" => {
-                args.shard_worker = Some(
-                    value("--shard-worker")?
-                        .parse()
-                        .map_err(|e| format!("--shard-worker: {e}"))?,
-                );
+                args.shard_worker = Some(value()?.parse().map_err(|e| format!("{arg}: {e}"))?)
             }
             other => return Err(format!("unknown argument {other}")),
         }
@@ -762,146 +478,173 @@ fn parse_args() -> Result<Args, String> {
     if args.runs == 0 || args.populations.is_empty() {
         return Err("need at least one run and one population".to_string());
     }
+    let measuring = !args.digests && args.shard_worker.is_none();
+    if measuring && stdout == args.out.is_some() {
+        return Err("give exactly one of --out FILE and --stdout".to_string());
+    }
     Ok(args)
 }
 
-struct Args {
-    populations: Vec<u32>,
-    /// True when `--populations` was given on the command line — lets the
-    /// scale ladders run a subset of tiers (CI smoke runs 1k/10k only).
-    populations_explicit: bool,
-    runs: usize,
-    out: String,
-    label: String,
-    stdout: bool,
-    digests: bool,
-    scale: bool,
-    scale_churn: bool,
-    /// `--shards` mode only: run the churn (figs 11–12) workload instead
-    /// of the static one.
-    churn: bool,
-    /// Worker-process count of the sharded mode (0 = sharded mode off).
-    shards: u8,
-    /// Hidden: this process is shard worker `me` of `shards` — speak the
-    /// epoch protocol on stdin/stdout and exit.
-    shard_worker: Option<u8>,
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let usage = usage_block(include_str!("dco-perf.rs"));
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "--help") {
+        print!("{usage}");
+        return ExitCode::SUCCESS;
+    }
+    let args = match parse_args(argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("dco-perf: {e}");
-            return ExitCode::FAILURE;
+            eprint!("usage: {usage}");
+            return ExitCode::from(2);
         }
     };
-    if args.digests {
+    let outcome = if args.digests {
         print_digest_table();
-        return ExitCode::SUCCESS;
-    }
-    if args.shard_worker.is_some() {
-        return match shard_worker_main(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("dco-perf: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.shards > 0 {
-        let json = match run_shards(&args) {
-            Ok(j) => j.render_pretty(),
-            Err(e) => {
-                eprintln!("dco-perf: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let out = if args.out != DEFAULT_OUT {
-            args.out.as_str()
-        } else {
-            SHARD_OUT
-        };
-        if args.stdout {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(out, &json) {
-            eprintln!("dco-perf: writing {out}: {e}");
-            return ExitCode::FAILURE;
-        } else {
-            eprintln!("dco-perf: wrote {out}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    if args.scale || args.scale_churn {
-        let churn = args.scale_churn;
-        let tiers: Vec<u32> = if args.populations_explicit {
-            args.populations.clone()
-        } else if churn {
-            CHURN_SCALE_POPULATIONS.to_vec()
-        } else {
-            SCALE_POPULATIONS.to_vec()
-        };
-        eprintln!(
-            "dco-perf: {} ladder, populations {:?}, 1 run each",
-            if churn {
-                "churn-scale (figs 11-12)"
-            } else {
-                "memory-scale"
-            },
-            tiers
-        );
-        let json = run_scale(&args.label, churn, &tiers).render_pretty();
-        let out = if args.out != DEFAULT_OUT {
-            args.out.as_str()
-        } else if churn {
-            CHURN_SCALE_OUT
-        } else {
-            SCALE_OUT
-        };
-        if args.stdout {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(out, &json) {
-            eprintln!("dco-perf: writing {out}: {e}");
-            return ExitCode::FAILURE;
-        } else {
-            eprintln!("dco-perf: wrote {out}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    eprintln!(
-        "dco-perf: figures workload, populations {:?}, {} runs each",
-        args.populations, args.runs
-    );
-    let reports: Vec<PopulationReport> = args
-        .populations
-        .iter()
-        .map(|&n| measure_population(n, args.runs))
-        .collect();
-    let json = report_json(&args.label, args.runs, &reports).render_pretty();
-    if args.stdout {
-        print!("{json}");
-    } else if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("dco-perf: writing {}: {e}", args.out);
-        return ExitCode::FAILURE;
+        Ok(())
+    } else if let Some(me) = args.shard_worker {
+        shard_worker_main(&args, me)
     } else {
-        eprintln!("dco-perf: wrote {}", args.out);
-    }
-    for rep in &reports {
-        let mut wall: Vec<f64> = rep.samples.iter().map(|s| s.wall_ms()).collect();
-        let med = median(&mut wall);
-        let base = PRE_PR_BASELINE
-            .iter()
-            .find(|(n, ..)| *n == rep.n_nodes)
-            .map(|(_, ms, ..)| *ms);
-        match base {
-            Some(b) if med > 0.0 => {
-                eprintln!(
-                    "  n={}: median {med:.1} ms ({:.2}x vs baseline)",
-                    rep.n_nodes,
-                    b / med
-                )
-            }
-            _ => eprintln!("  n={}: median {med:.1} ms", rep.n_nodes),
+        run_tiers(&args)
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("dco-perf: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dco_metrics::observer::FigureMetrics;
+    use dco_sim::counters::perf::AllocStats;
+
+    fn run(events: u64, digest: u64) -> Run {
+        let sample = PerfSample {
+            wall_ns: 1_000_000,
+            events,
+            alloc: AllocStats::default(),
+            peak_live_bytes: 0,
+            live_bytes_end: 0,
+        };
+        let counters = CounterSnapshot {
+            control_total: 3,
+            data_total: 1,
+            by_tag: Vec::new(),
+            control_per_sec: vec![3],
+            dropped_dead: 0,
+            dropped_fault: 0,
+        };
+        Run {
+            sample,
+            digest,
+            received_pct: 100.0,
+            counters,
+            sharded: None,
+        }
+    }
+
+    #[test]
+    fn check_rejects_a_doctored_tier_by_name() {
+        let (events, digest) = pin(false, FIFO, 1_000).unwrap();
+        assert_eq!(check(false, FIFO, 1_000, &[run(events, digest)]), Ok(()));
+        for doctored in [run(events, digest ^ 1), run(events + 1, digest)] {
+            let err = check(false, FIFO, 1_000, &[doctored]).unwrap_err();
+            assert!(
+                err.starts_with("n=1000 churn=false order=fifo: (events, digest)"),
+                "{err}"
+            );
+        }
+        // An unpinned tier still has to agree with itself.
+        let err = check(true, FIFO, 7, &[run(10, 1), run(10, 2)]).unwrap_err();
+        assert!(err.starts_with("n=7 churn=true order=fifo: run 2"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_a_sharded_run_that_does_not_fold_back() {
+        let canonical = run(10, 0xAB);
+        let sharded = |doctor: fn(&mut MergedRun)| {
+            let mut m = MergedRun {
+                workers: Vec::new(),
+                epochs: 1,
+                forwarded_batches: 0,
+                forwarded_bytes: 0,
+                root_digest: 0xAB,
+                owned_events: 10,
+                events_processed: 10,
+                remote_msgs: 0,
+                counters: canonical.counters.clone(),
+                figures: FigureMetrics {
+                    received_by_second: Vec::new(),
+                    expected_pairs: 0,
+                    mean_mesh_delay: 0.0,
+                    fill_at_offsets: Vec::new(),
+                    received_pct: 100.0,
+                },
+            };
+            doctor(&mut m);
+            let mut r = run(10, 0xAB);
+            r.sharded = Some((1.0, m));
+            check(false, KEYED, 7, &[r])
+        };
+        assert_eq!(sharded(|_| {}), Ok(()));
+        type Doctor = fn(&mut MergedRun);
+        let doctored: [(&str, Doctor); 4] = [
+            ("root digest", |m| m.root_digest ^= 1),
+            ("owned events", |m| m.owned_events += 1),
+            ("counters", |m| m.counters.control_total += 1),
+            ("received %", |m| m.figures.received_pct = 99.0),
+        ];
+        for (what, doctor) in doctored {
+            let want =
+                format!("n=7 churn=false order=keyed K=0: {what} differs from the canonical run");
+            assert_eq!(sharded(doctor), Err(want));
+        }
+    }
+
+    /// Every tier a committed `BENCH_*.json` records for a pinned
+    /// `(churn, order, N)` carries exactly the pinned events and digest.
+    /// [`Json`] pretty-prints one key per line, so a line scan reads them.
+    #[test]
+    fn committed_reports_agree_with_the_pins() {
+        let files = [
+            include_str!("../../../../BENCH_sim_core.json"),
+            include_str!("../../../../BENCH_scale.json"),
+            include_str!("../../../../BENCH_churn_scale.json"),
+            include_str!("../../../../BENCH_shard.json"),
+        ];
+        let mut pinned = 0;
+        for text in files {
+            assert!(text.contains(&format!("\"schema\": \"{SCHEMA}\"")));
+            let (mut churn, mut order, mut n, mut events) = (false, String::new(), 0, 0);
+            for line in text.lines() {
+                let Some((key, v)) = line.trim().split_once(": ") else {
+                    continue;
+                };
+                let v = v.trim_end_matches(',').trim_matches('"');
+                match key {
+                    "\"churn\"" => churn = v == "true",
+                    "\"order\"" => order = v.to_string(),
+                    "\"n_nodes\"" => n = v.parse().unwrap(),
+                    "\"events\"" => events = v.parse().unwrap(),
+                    "\"trace_digest\"" => {
+                        let Some(want) = pin(churn, &order, n) else {
+                            continue;
+                        };
+                        let digest = u64::from_str_radix(&v[2..], 16).unwrap();
+                        assert_eq!((events, digest), want, "churn={churn} {order} n={n}");
+                        pinned += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        // sim_core: seed engine + current at 1k/5k/10k; scale: 1k-100k;
+        // churn: 1k/10k/50k; shard: keyed 1k/10k.
+        assert_eq!(pinned, 6 + 4 + 3 + 2);
+    }
 }

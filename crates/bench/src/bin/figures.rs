@@ -11,10 +11,16 @@
 use std::io::Write as _;
 
 use dco_bench::figs::{self, FigScale};
+use dco_bench::usage_block;
 use dco_metrics::Figure;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = usage_block(include_str!("figures.rs"));
+    if args.iter().any(|a| a == "--help") {
+        print!("{usage}");
+        return;
+    }
     let mut which: Vec<String> = Vec::new();
     let mut scale = FigScale::paper();
     let mut out_dir: Option<String> = None;
@@ -53,6 +59,11 @@ fn main() {
                     eprintln!("--out needs a directory");
                     std::process::exit(2);
                 }));
+            }
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown argument {flag}");
+                eprint!("usage: {usage}");
+                std::process::exit(2);
             }
             name => which.push(name.to_string()),
         }

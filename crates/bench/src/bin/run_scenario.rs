@@ -3,12 +3,12 @@
 //! system without writing code.
 //!
 //! ```text
-//! run_scenario --method dco --nodes 128 --chunks 60 --neighbors 16 \
-//!              [--churn <mean-life-s>] [--horizon <s>] [--seed <n>] \
-//!              [--full-model]
+//! run_scenario [--method dco|pull|push|tree|tree*] [--nodes N] [--chunks C]
+//!              [--neighbors K] [--churn <mean-life-s>] [--horizon <s>]
+//!              [--seed <n>] [--tree-degree D]
 //! ```
 
-use dco_bench::{run, Method, RunParams};
+use dco_bench::{run, usage_block, Method, RunParams};
 use dco_sim::time::{SimDuration, SimTime};
 use dco_workload::ChurnConfig;
 
@@ -68,11 +68,16 @@ fn parse() -> Result<Args, String> {
 }
 
 fn main() {
+    let usage = usage_block(include_str!("run_scenario.rs"));
+    if std::env::args().skip(1).any(|a| a == "--help") {
+        print!("{usage}");
+        return;
+    }
     let args = match parse() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: run_scenario --method dco|pull|push|tree --nodes N --chunks C --neighbors K [--churn LIFE] [--horizon S] [--seed N] [--tree-degree D]");
+            eprint!("usage: {usage}");
             std::process::exit(2);
         }
     };

@@ -34,3 +34,36 @@ pub mod timing;
 pub use figs::FigScale;
 pub use runner::{run, run_with_stats, CellProof, Method, RunParams, RunResult, RunStats};
 pub use sweep::{run_sweep, SweepConfig, SweepReport};
+
+/// The usage block of a binary: the first ```` ```text ```` fence of the
+/// `//!` module docs in `src`, the binary's own source text (passed in with
+/// `include_str!`), so `--help` prints exactly what the docs show.
+pub fn usage_block(src: &str) -> String {
+    let mut out = String::new();
+    let mut inside = false;
+    for line in src.lines() {
+        let Some(doc) = line.strip_prefix("//!") else {
+            continue;
+        };
+        let doc = doc.strip_prefix(' ').unwrap_or(doc);
+        if doc.starts_with("```") {
+            if inside {
+                break;
+            }
+            inside = doc == "```text";
+        } else if inside {
+            out.push_str(doc);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn usage_block_is_the_first_text_fence_of_the_module_docs() {
+        let src = "//! Tool.\n//!\n//! ```text\n//! tool [--x N]\n//!      [--y]\n//! ```\n//!\n//! ```text\n//! later\n//! ```\n// ```text\nfn main() {}\n";
+        assert_eq!(super::usage_block(src), "tool [--x N]\n     [--y]\n");
+    }
+}

@@ -20,9 +20,8 @@
 //! value every `K` must reproduce.
 
 use std::io;
-use std::time::Instant;
 
-use dco_core::proto::{DcoConfig, DcoProtocol};
+use dco_core::proto::DcoProtocol;
 use dco_dht::hash_node;
 use dco_metrics::observer::FigureMetrics;
 use dco_metrics::{ObserverShard, StreamObserver};
@@ -37,7 +36,7 @@ use dco_sim::node::NodeId;
 use dco_sim::time::SimDuration;
 use dco_sim::wire::{decode_exact, encode_to_vec, wire_codec};
 
-use crate::runner::{CellProof, RunParams, RunResult, RunStats};
+use crate::runner::RunParams;
 
 /// `map[node] = shard` for the figures workload: contiguous arcs of the
 /// Chord ring (nodes sorted by `hash_node`), near-equal population.
@@ -90,25 +89,26 @@ wire_codec!(struct WorkerSummary {
 
 /// Builds one shard's simulator: full node table, sharding enabled on the
 /// ring-arc map, full membership script installed. Returns the simulator
-/// and the lookahead pinned by the network's constant latency.
-fn build_shard_sim(params: &RunParams, k: u8, me: u8) -> (Simulator<DcoProtocol>, SimDuration) {
+/// and the lookahead pinned by the network's constant latency; a refused
+/// sharding configuration is an `InvalidInput` error naming the reason.
+fn build_shard_sim(
+    params: &RunParams,
+    k: u8,
+    me: u8,
+) -> io::Result<(Simulator<DcoProtocol>, SimDuration)> {
     let scenario = params.scenario();
-    let mut cfg = if params.churn.is_some() {
-        DcoConfig::paper_churn(params.n_nodes, params.n_chunks)
-    } else {
-        DcoConfig::paper_default(params.n_nodes, params.n_chunks)
-    };
-    cfg.neighbors = params.neighbors;
     let mut sim = Simulator::with_capacity(
-        DcoProtocol::new(cfg),
+        DcoProtocol::new(params.dco_config()),
         NetConfig::paper_model(),
         params.seed,
         params.n_nodes as usize,
     );
     scenario.add_nodes(&mut sim);
-    let lookahead = sim.enable_sharding(ring_partition(params.n_nodes, k), me, k);
+    let lookahead = sim
+        .enable_sharding(ring_partition(params.n_nodes, k), me, k)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     scenario.schedule_membership(&mut sim);
-    (sim, lookahead)
+    Ok((sim, lookahead))
 }
 
 /// Runs shard `me` of `k` to completion over `link`, replying with a
@@ -121,7 +121,7 @@ pub fn run_shard_worker<L: FrameLink>(
     me: u8,
     link: &mut L,
 ) -> io::Result<()> {
-    let (mut sim, lookahead) = build_shard_sim(params, k, me);
+    let (mut sim, lookahead) = build_shard_sim(params, k, me)?;
     let meter = PerfMeter::start();
     run_worker(&mut sim, params.horizon, lookahead, link, |sim| {
         let stats = sim.shard_stats().expect("sharding enabled");
@@ -291,10 +291,6 @@ pub struct SingleRun {
     pub set_digest: u64,
     /// Owned runtime dispatches (everything, at `K = 1`).
     pub owned_events: u64,
-    /// All dispatches.
-    pub events_processed: u64,
-    /// Wall clock of the run.
-    pub wall_ms: f64,
     /// Counter snapshot.
     pub counters: CounterSnapshot,
     /// Figure statistics.
@@ -302,49 +298,21 @@ pub struct SingleRun {
 }
 
 /// Runs the canonical single-process reference for `params`.
-pub fn run_single_canonical(params: &RunParams) -> SingleRun {
-    let (mut sim, _lookahead) = build_shard_sim(params, 1, 0);
-    let t0 = Instant::now();
+pub fn run_single_canonical(params: &RunParams) -> io::Result<SingleRun> {
+    let (mut sim, _lookahead) = build_shard_sim(params, 1, 0)?;
     sim.run_until(params.horizon);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let stats = sim.shard_stats().expect("sharding enabled");
     let figures = sim
         .protocol()
         .obs
         .fold_figures(params.horizon, &fold_offsets(params));
-    SingleRun {
+    Ok(SingleRun {
         set_digest: stats.set_digest,
         owned_events: stats.owned_events,
-        events_processed: sim.stats().events_processed,
-        wall_ms,
         counters: sim.counters().snapshot(),
         figures,
-    }
+    })
 }
-
-// ---------------------------------------------------------------------
-// Wire codecs for the sweep fork (`dco-sweep --fork-seeds`): a cell
-// worker ships its RunStats back as one RESULT frame.
-// ---------------------------------------------------------------------
-
-wire_codec!(struct RunResult {
-    mean_mesh_delay,
-    fill_at_2s,
-    fill_at_offset,
-    fill_timeline,
-    overhead,
-    overhead_timeline,
-    received_timeline,
-    received_pct,
-    data_msgs,
-});
-wire_codec!(struct CellProof {
-    trace_digest,
-    counters_digest,
-    snapshot,
-    events,
-});
-wire_codec!(struct RunStats { result, proof });
 
 #[cfg(test)]
 mod tests {
@@ -395,7 +363,7 @@ mod tests {
     #[test]
     fn sharded_static_run_is_shard_count_invariant() {
         let params = small_params(false);
-        let single = run_single_canonical(&params);
+        let single = run_single_canonical(&params).unwrap();
         assert!(single.figures.received_pct > 95.0, "workload sanity");
         for k in [1, 2, 4] {
             assert_matches_single(&params, &single, k);
@@ -407,7 +375,7 @@ mod tests {
     #[test]
     fn sharded_churn_run_is_shard_count_invariant() {
         let params = small_params(true);
-        let single = run_single_canonical(&params);
+        let single = run_single_canonical(&params).unwrap();
         for k in [1, 2, 4] {
             assert_matches_single(&params, &single, k);
         }
@@ -425,7 +393,7 @@ mod tests {
             if churn {
                 params.churn = Some(ChurnConfig::paper_fig11());
             }
-            let single = run_single_canonical(&params);
+            let single = run_single_canonical(&params).unwrap();
             for k in [1, 2, 4] {
                 assert_matches_single(&params, &single, k);
             }
@@ -442,7 +410,7 @@ mod tests {
             if churn {
                 params.churn = Some(ChurnConfig::paper_fig11());
             }
-            let single = run_single_canonical(&params);
+            let single = run_single_canonical(&params).unwrap();
             for k in [1, 2, 4] {
                 assert_matches_single(&params, &single, k);
             }
@@ -560,6 +528,16 @@ mod tests {
         assert_eq!((m.dropped_dead, m.dropped_fault), (1, 2));
     }
 
+    /// A configuration `enable_sharding` refuses reaches the worker's
+    /// caller as a named `InvalidInput` error, not a panic.
+    #[test]
+    fn refused_sharding_is_an_invalid_input_error() {
+        let (_orchestrator, mut link) = channel_pair();
+        let err = run_shard_worker(&small_params(false), 2, 5, &mut link).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("shard index 5"), "{err}");
+    }
+
     #[test]
     fn ring_partition_is_balanced_and_total() {
         let map = ring_partition(1000, 4);
@@ -568,43 +546,5 @@ mod tests {
             let pop = map.iter().filter(|&&s| s == shard).count();
             assert_eq!(pop, 250, "shard {shard}");
         }
-    }
-
-    #[test]
-    fn run_stats_codec_round_trips() {
-        let stats = RunStats {
-            result: RunResult {
-                mean_mesh_delay: 1.5,
-                fill_at_2s: 0.25,
-                fill_at_offset: 0.75,
-                fill_timeline: vec![(0.0, 0.0), (1.0, 0.5)],
-                overhead: 42,
-                overhead_timeline: vec![(0.0, 1.0)],
-                received_timeline: vec![(0.0, 0.0), (1.0, 50.0)],
-                received_pct: 99.5,
-                data_msgs: 777,
-            },
-            proof: CellProof {
-                trace_digest: 0xABCD,
-                counters_digest: 0x1234,
-                snapshot: CounterSnapshot {
-                    control_total: 1,
-                    data_total: 2,
-                    by_tag: vec![],
-                    control_per_sec: vec![1],
-                    dropped_dead: 0,
-                    dropped_fault: 0,
-                },
-                events: 5,
-            },
-        };
-        let back: RunStats = decode_exact(&encode_to_vec(&stats)).unwrap();
-        assert_eq!(back.proof, stats.proof);
-        assert_eq!(
-            back.result.received_pct.to_bits(),
-            stats.result.received_pct.to_bits()
-        );
-        assert_eq!(back.result.fill_timeline, stats.result.fill_timeline);
-        assert_eq!(back.result.data_msgs, stats.result.data_msgs);
     }
 }

@@ -1,6 +1,6 @@
-//! End-to-end tests of the multi-process binaries: the real `dco-perf`
-//! sharded mode (re-exec'd workers over stdio pipes) and the real
-//! `dco-sweep --fork-seeds` path, spawned via `CARGO_BIN_EXE_*`.
+//! End-to-end tests of the binaries, spawned via `CARGO_BIN_EXE_*`: the
+//! real `dco-perf` sharded mode (re-exec'd workers over stdio pipes) and
+//! the command line of every binary.
 //!
 //! The lib tests (`shard_run`) already prove shard-count invariance over
 //! in-memory links; these prove the *process* plumbing — spawn, framed
@@ -12,13 +12,9 @@ fn perf() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dco-perf"))
 }
 
-fn sweep() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_dco-sweep"))
-}
-
 /// `dco-perf --shards 2` at a toy population: two worker processes must
 /// fold back to the single-process canonical digest, and the report must
-/// say so. This is the per-push CI smoke in miniature.
+/// record both. This is the per-push CI smoke in miniature.
 #[test]
 fn dco_perf_shards_reproduces_canonical_digest_across_processes() {
     let out = perf()
@@ -31,12 +27,38 @@ fn dco_perf_shards_reproduces_canonical_digest_across_processes() {
         String::from_utf8_lossy(&out.stderr)
     );
     let json = String::from_utf8(out.stdout).expect("utf8 report");
-    assert!(json.contains("\"schema\": \"dco-shard/v1\""), "{json}");
-    assert!(
-        json.contains("\"digest_matches_single_process\": true"),
-        "{json}"
-    );
-    assert!(json.contains("\"k_shards\": 2"), "{json}");
+    assert!(json.contains("\"schema\": \"dco-perf/v2\""), "{json}");
+    assert!(json.contains("\"order\": \"keyed\""), "{json}");
+    assert!(json.contains("\"k\": 2"), "{json}");
+    let value = |key: &str| {
+        let at = json.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+        json[at..].split(',').next().unwrap().to_string()
+    };
+    assert_eq!(value("root_digest"), value("trace_digest"), "{json}");
+}
+
+/// `--churn` reaches the measured run in every mode: the report says so
+/// and records a different workload from the static one.
+#[test]
+fn dco_perf_churn_measures_the_churn_workload() {
+    let report = |churn: bool| {
+        let mut cmd = perf();
+        cmd.args(["--populations", "60", "--runs", "1", "--stdout"]);
+        if churn {
+            cmd.arg("--churn");
+        }
+        let out = cmd.output().expect("spawn dco-perf");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf8 report")
+    };
+    let churn = report(true);
+    assert!(churn.contains("\"churn\": true"), "{churn}");
+    let digest = |json: &str| json.split("\"trace_digest\"").nth(1).map(str::to_string);
+    assert_ne!(digest(&churn), digest(&report(false)));
 }
 
 /// A worker whose orchestrator died (stdin at EOF) must exit nonzero
@@ -80,32 +102,38 @@ fn shard_worker_index_out_of_range_is_rejected() {
     assert!(err.contains("--shard-worker"), "{err}");
 }
 
-/// `--fork-seeds` must write a byte-identical report to the in-process
-/// thread pool: same grid, same per-cell digests, same aggregation.
+/// Every binary answers `--help` with its usage block and exit 0, and
+/// refuses an unknown argument with a non-zero exit before doing any work.
 #[test]
-fn fork_seeds_report_is_bit_identical_to_in_process() {
-    let dir = std::env::temp_dir().join(format!("dco-sweep-fork-test-{}", std::process::id()));
-    let dir_s = dir.to_str().expect("utf8 temp dir");
-    for (tag, fork) in [("inproc", false), ("forked", true)] {
-        let mut cmd = sweep();
-        cmd.args([
-            "--preset", "tiny", "--jobs", "2", "--out", dir_s, "--tag", tag,
-        ]);
-        if fork {
-            cmd.arg("--fork-seeds");
-        }
-        let out = cmd.output().expect("spawn dco-sweep");
-        assert!(
-            out.status.success(),
-            "dco-sweep ({tag}) failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+fn every_binary_answers_help_and_rejects_unknown_arguments() {
+    let bins = [
+        ("dco-perf", env!("CARGO_BIN_EXE_dco-perf")),
+        ("dco-sweep", env!("CARGO_BIN_EXE_dco-sweep")),
+        ("figures", env!("CARGO_BIN_EXE_figures")),
+        ("ablations", env!("CARGO_BIN_EXE_ablations")),
+        ("run_scenario", env!("CARGO_BIN_EXE_run_scenario")),
+    ];
+    for (name, exe) in bins {
+        let help = Command::new(exe).arg("--help").output().expect(name);
+        assert!(help.status.success(), "{name} --help failed");
+        let text = String::from_utf8_lossy(&help.stdout);
+        assert!(text.starts_with(name), "{name} --help printed:\n{text}");
+        let bogus = Command::new(exe).arg("--bogus").output().expect(name);
+        assert!(!bogus.status.success(), "{name} accepted --bogus");
+        assert!(bogus.stdout.is_empty(), "{name} did work on --bogus");
     }
-    let a = std::fs::read(dir.join("sweep_inproc.json")).expect("in-process report");
-    let b = std::fs::read(dir.join("sweep_forked.json")).expect("forked report");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(
-        a == b,
-        "forked sweep report diverged from the in-process report"
-    );
+    // A flag that needs a value and has none is refused too, and
+    // `dco-perf` needs exactly one of `--out FILE` and `--stdout`.
+    for (exe, args) in [
+        (env!("CARGO_BIN_EXE_ablations"), &["--scale"][..]),
+        (env!("CARGO_BIN_EXE_dco-perf"), &["--populations", "10"][..]),
+        (
+            env!("CARGO_BIN_EXE_dco-perf"),
+            &["--stdout", "--out", "x.json"][..],
+        ),
+    ] {
+        let out = Command::new(exe).args(args).output().expect("spawn");
+        assert!(!out.status.success(), "{exe} accepted {args:?}");
+        assert!(out.stdout.is_empty(), "{exe} did work on {args:?}");
+    }
 }

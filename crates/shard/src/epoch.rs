@@ -318,7 +318,7 @@ mod tests {
         for _ in 0..n {
             sim.add_node(NodeCaps::peer_default());
         }
-        sim.enable_sharding(map, me, k);
+        sim.enable_sharding(map, me, k).unwrap();
         for id in 0..n {
             sim.schedule_join(NodeId(id), SimTime::ZERO);
         }

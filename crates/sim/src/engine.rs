@@ -158,6 +158,86 @@ const KEY_PSEQ_SHIFT: u32 = 24;
 /// chain digest so the two spaces cannot be confused).
 const SET_DIGEST_SALT: u64 = 0x5EED_5E7D_16E5_7AB1;
 
+/// Why [`Simulator::enable_sharding`] refused to shard a run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ShardingError {
+    /// The worker index is not below the shard count.
+    ShardIndex {
+        /// This worker's index.
+        me: u8,
+        /// The shard count.
+        n_shards: u8,
+    },
+    /// Canonical keys address fewer than 2^24 nodes.
+    TooManyNodes {
+        /// Entries in the shard map.
+        nodes: usize,
+    },
+    /// The shard map does not name exactly one shard per registered node.
+    MapLength {
+        /// Entries in the shard map.
+        map: usize,
+        /// Registered nodes.
+        nodes: usize,
+    },
+    /// A node is mapped to a shard that does not exist.
+    MapEntryOutOfRange {
+        /// The first such node.
+        node: u32,
+        /// The shard it was mapped to.
+        shard: u8,
+        /// The shard count.
+        n_shards: u8,
+    },
+    /// Something was already scheduled or run.
+    AlreadyStarted,
+    /// The link latency, which is the epoch lookahead, is zero.
+    ZeroLatency,
+    /// The network drops messages (fault injection is active).
+    FaultInjection,
+    /// The network charges the receiver's download pipe, so arrival
+    /// times depend on traffic from other shards.
+    ReceiverCharging,
+}
+
+impl fmt::Display for ShardingError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShardingError::ShardIndex { me, n_shards } => {
+                write!(f, "shard index {me} out of range for {n_shards} shards")
+            }
+            ShardingError::TooManyNodes { nodes } => {
+                write!(f, "{nodes} nodes: canonical keys address fewer than 2^24")
+            }
+            ShardingError::MapLength { map, nodes } => {
+                write!(f, "shard map has {map} entries for {nodes} nodes")
+            }
+            ShardingError::MapEntryOutOfRange {
+                node,
+                shard,
+                n_shards,
+            } => write!(f, "node {node} mapped to shard {shard} of {n_shards}"),
+            ShardingError::AlreadyStarted => {
+                write!(f, "sharding must be enabled before scheduling or running")
+            }
+            ShardingError::ZeroLatency => {
+                write!(
+                    f,
+                    "sharded runs need a positive link latency (the lookahead)"
+                )
+            }
+            ShardingError::FaultInjection => {
+                write!(f, "sharded runs do not support fault injection")
+            }
+            ShardingError::ReceiverCharging => {
+                write!(f, "sharded runs need sender-side-only bandwidth charging")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ShardingError {}
+
 /// Sharding state carried by a worker's engine (`None` in ordinary runs).
 struct Shard<M> {
     /// `map[node] == me` iff this worker dispatches that node's events.
@@ -296,33 +376,25 @@ impl<P: Protocol> Ctx<'_, P> {
         self.core.clock
     }
 
-    /// Sends a zero-size control message, counting one unit of extra
-    /// overhead under `tag`. No-op if the sender is dead; silently dropped
-    /// (after counting) if the receiver is dead at delivery time.
+    /// Sends a control message, counting one unit of extra overhead under
+    /// `tag`. Control traffic is latency only: the paper counts it in
+    /// message units, not bytes. No-op if the sender is dead; silently
+    /// dropped (after counting) if the receiver is dead at delivery time.
     pub fn send_control(&mut self, from: NodeId, to: NodeId, msg: P::Msg, tag: &'static str) {
-        self.send_control_sized(from, to, msg, tag, SizeBits::ZERO)
-    }
-
-    /// Sends a control message with an explicit size (only relevant when the
-    /// network is configured to charge control traffic to the pipes).
-    pub fn send_control_sized(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        msg: P::Msg,
-        tag: &'static str,
-        size: SizeBits,
-    ) {
         let core = &mut *self.core;
         if !core.alive.is_alive(from) {
             core.stats.sends_from_dead += 1;
             return;
         }
         core.counters.record_control(core.clock, tag);
-        match core
-            .net
-            .transmit(core.clock, from, to, MsgClass::Control, size, &mut core.rng)
-        {
+        match core.net.transmit(
+            core.clock,
+            from,
+            to,
+            MsgClass::Control,
+            SizeBits::ZERO,
+            &mut core.rng,
+        ) {
             Transmit::Deliver(at) => core.push_deliver(at, from, to, msg),
             Transmit::Dropped => core.counters.record_dropped_fault(),
         }
@@ -557,40 +629,50 @@ impl<P: Protocol> Simulator<P> {
     /// `map[node]` names the worker that owns each node and `me` is this
     /// worker's index. Must be called after all nodes are registered and
     /// before anything is scheduled. The network model must be *conservative
-    /// lookahead safe*: constant link latency `L > 0`, no fault injection,
-    /// and no receiver-side bandwidth charging — then any cross-shard send
-    /// arrives at least `L` after it was sent, so workers can run in
-    /// lockstep windows of width `L` exchanging messages only at window
-    /// boundaries. Returns that lookahead.
-    pub fn enable_sharding(&mut self, map: Vec<u8>, me: u8, n_shards: u8) -> SimDuration {
-        assert!(n_shards >= 1 && me < n_shards, "bad shard index");
-        assert_eq!(map.len(), self.core.net.len(), "shard map size != nodes");
-        assert!(map.len() < 1 << 24, "stamp keys address 2^24 nodes");
-        assert!(
-            map.iter().all(|&s| s < n_shards),
-            "shard map entry out of range"
-        );
-        assert!(
-            self.core.queue.scheduled_total() == 0 && self.core.stats.events_processed == 0,
-            "enable_sharding before scheduling or running"
-        );
+    /// lookahead safe*: link latency `L > 0`, no fault injection, and no
+    /// receiver-side bandwidth charging — then any cross-shard send arrives
+    /// at least `L` after it was sent, so workers can run in lockstep
+    /// windows of width `L` exchanging messages only at window boundaries.
+    /// Returns that lookahead, or the first precondition that fails.
+    pub fn enable_sharding(
+        &mut self,
+        map: Vec<u8>,
+        me: u8,
+        n_shards: u8,
+    ) -> Result<SimDuration, ShardingError> {
+        if me >= n_shards {
+            return Err(ShardingError::ShardIndex { me, n_shards });
+        }
+        if map.len() >= 1 << 24 {
+            return Err(ShardingError::TooManyNodes { nodes: map.len() });
+        }
+        if map.len() != self.core.net.len() {
+            return Err(ShardingError::MapLength {
+                map: map.len(),
+                nodes: self.core.net.len(),
+            });
+        }
+        if let Some(node) = map.iter().position(|&s| s >= n_shards) {
+            return Err(ShardingError::MapEntryOutOfRange {
+                node: node as u32,
+                shard: map[node],
+                n_shards,
+            });
+        }
+        if self.core.queue.scheduled_total() != 0 || self.core.stats.events_processed != 0 {
+            return Err(ShardingError::AlreadyStarted);
+        }
         let cfg = self.core.net.config();
-        let lookahead = cfg
-            .latency
-            .as_constant()
-            .expect("sharded runs need a constant latency model");
-        assert!(
-            !lookahead.is_zero(),
-            "sharded runs need a positive link latency (the lookahead)"
-        );
-        assert!(
-            !cfg.faults.is_active(),
-            "sharded runs do not support fault injection"
-        );
-        assert!(
-            !cfg.charge_download,
-            "sharded runs need sender-side-only bandwidth charging"
-        );
+        let lookahead = cfg.latency;
+        if lookahead.is_zero() {
+            return Err(ShardingError::ZeroLatency);
+        }
+        if cfg.faults.is_active() {
+            return Err(ShardingError::FaultInjection);
+        }
+        if cfg.charge_download {
+            return Err(ShardingError::ReceiverCharging);
+        }
         let n = map.len();
         self.core.shard = Some(Box::new(Shard {
             map,
@@ -606,7 +688,7 @@ impl<P: Protocol> Simulator<P> {
             owned_events: 0,
             remote_sent: 0,
         }));
-        lookahead
+        Ok(lookahead)
     }
 
     /// Runs every event scheduled strictly before `t`, leaving the clock at
@@ -1177,7 +1259,7 @@ mod shard_tests {
                     };
                     sim.add_node(caps);
                 }
-                let lookahead = sim.enable_sharding(map.clone(), me, k);
+                let lookahead = sim.enable_sharding(map.clone(), me, k).unwrap();
                 assert_eq!(lookahead, SimDuration::from_millis(50));
                 // The install script — identical on every worker.
                 for i in 0..n {
@@ -1257,7 +1339,7 @@ mod shard_tests {
         for _ in 0..8 {
             sim.add_node(NodeCaps::peer_default());
         }
-        sim.enable_sharding(map, 0, 2);
+        sim.enable_sharding(map, 0, 2).unwrap();
         for i in 0..8 {
             sim.schedule_join(NodeId(i), SimTime::ZERO);
         }
@@ -1268,17 +1350,136 @@ mod shard_tests {
     }
 
     #[test]
-    fn sharding_rejects_unsafe_network_models() {
-        let mut sim = Simulator::new(
-            Mesh { n: 1, got: vec![0] },
-            NetConfig::default(), // charge_download = true
-            1,
+    fn sharding_rejects_each_unsafe_configuration() {
+        use crate::net::FaultPlan;
+        fn two_nodes(cfg: NetConfig) -> Simulator<Mesh> {
+            let mut sim = Simulator::new(
+                Mesh {
+                    n: 2,
+                    got: vec![0; 2],
+                },
+                cfg,
+                1,
+            );
+            sim.add_node(NodeCaps::peer_default());
+            sim.add_node(NodeCaps::peer_default());
+            sim
+        }
+        let paper = NetConfig::paper_model;
+        // (name, simulator, map, me, n_shards, expected error)
+        type Case = (
+            &'static str,
+            Simulator<Mesh>,
+            Vec<u8>,
+            u8,
+            u8,
+            ShardingError,
         );
-        sim.add_node(NodeCaps::peer_default());
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.enable_sharding(vec![0], 0, 1);
-        }));
-        assert!(err.is_err(), "receiver-side charging must be rejected");
+        let cases: Vec<Case> = vec![
+            (
+                "shard index",
+                two_nodes(paper()),
+                vec![0, 1],
+                2,
+                2,
+                ShardingError::ShardIndex { me: 2, n_shards: 2 },
+            ),
+            (
+                "map length",
+                two_nodes(paper()),
+                vec![0],
+                0,
+                1,
+                ShardingError::MapLength { map: 1, nodes: 2 },
+            ),
+            (
+                "2^24 nodes",
+                two_nodes(paper()),
+                vec![0; 1 << 24],
+                0,
+                1,
+                ShardingError::TooManyNodes { nodes: 1 << 24 },
+            ),
+            (
+                "map entry",
+                two_nodes(paper()),
+                vec![0, 3],
+                0,
+                2,
+                ShardingError::MapEntryOutOfRange {
+                    node: 1,
+                    shard: 3,
+                    n_shards: 2,
+                },
+            ),
+            (
+                "already scheduled",
+                {
+                    let mut sim = two_nodes(paper());
+                    sim.schedule_join(NodeId(0), SimTime::ZERO);
+                    sim
+                },
+                vec![0, 0],
+                0,
+                1,
+                ShardingError::AlreadyStarted,
+            ),
+            (
+                "already run",
+                {
+                    let mut sim = two_nodes(paper());
+                    sim.schedule_join(NodeId(0), SimTime::ZERO);
+                    sim.run_until(SimTime::from_millis(10));
+                    sim
+                },
+                vec![0, 0],
+                0,
+                1,
+                ShardingError::AlreadyStarted,
+            ),
+            (
+                "zero latency",
+                two_nodes(NetConfig {
+                    latency: SimDuration::ZERO,
+                    ..paper()
+                }),
+                vec![0, 0],
+                0,
+                1,
+                ShardingError::ZeroLatency,
+            ),
+            (
+                "faults",
+                two_nodes(NetConfig {
+                    faults: FaultPlan::uniform(0.5),
+                    ..paper()
+                }),
+                vec![0, 0],
+                0,
+                1,
+                ShardingError::FaultInjection,
+            ),
+            (
+                "receiver charging",
+                two_nodes(NetConfig::default()),
+                vec![0, 0],
+                0,
+                1,
+                ShardingError::ReceiverCharging,
+            ),
+        ];
+        for (name, mut sim, map, me, k, want) in cases {
+            assert_eq!(sim.enable_sharding(map, me, k), Err(want), "{name}");
+            assert!(
+                sim.shard_stats().is_none(),
+                "{name}: a refused call changes nothing"
+            );
+        }
+        let mut ok = two_nodes(paper());
+        assert_eq!(
+            ok.enable_sharding(vec![0, 1], 1, 2),
+            Ok(SimDuration::from_millis(50))
+        );
     }
 
     #[test]

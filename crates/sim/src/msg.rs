@@ -94,10 +94,6 @@ impl fmt::Display for SizeBits {
     }
 }
 
-/// Byte size used for control messages when the configuration charges them
-/// to the pipes (off by default; see `NetConfig::control_uses_bandwidth`).
-pub const DEFAULT_CONTROL_BYTES: u64 = 64;
-
 #[cfg(test)]
 mod tests {
     use super::*;
