@@ -21,7 +21,7 @@ use dco_sim::time::SimTime;
 
 fn bench_event_queue() {
     bench("event_queue/push_pop_1k", 200, || {
-        let mut q = EventQueue::with_capacity(1024);
+        let mut q = EventQueue::new();
         for i in 0..1024u64 {
             q.push(SimTime::from_micros(i * 37 % 4096), i);
         }

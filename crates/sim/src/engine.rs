@@ -532,18 +532,15 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Like [`Simulator::new`] but with a population capacity hint:
-    /// pre-sizes the network's per-node tables and the event calendar's
-    /// active heap so scenario installation doesn't regrow them
-    /// incrementally. Purely an allocation hint — behaviour is identical
-    /// for any `n_nodes`.
+    /// pre-sizes the network's per-node tables so scenario installation
+    /// doesn't regrow them incrementally. Purely an allocation hint —
+    /// behaviour is identical for any `n_nodes`.
     pub fn with_capacity(protocol: P, net_cfg: NetConfig, seed: u64, n_nodes: usize) -> Self {
         let hub = RngHub::new(seed);
         Simulator {
             core: SimCore {
                 clock: SimTime::ZERO,
-                // Rule of thumb: a live overlay keeps a small constant
-                // number of in-flight events per node (timers + deliveries).
-                queue: EventQueue::with_capacity(n_nodes.saturating_mul(4)),
+                queue: EventQueue::new(),
                 net: Network::with_capacity(net_cfg, n_nodes),
                 alive: AliveSet::new(0),
                 counters: Counters::new(),

@@ -13,7 +13,10 @@
 //!   per-bucket vectors covering the `RING_BUCKETS - 1` buckets after the
 //!   cursor, with a word-level occupancy bitmap so advancing the cursor
 //!   skips empty buckets without scanning them. Pushing here is an O(1)
-//!   vector append — no comparisons, no sift.
+//!   vector append — no comparisons, no sift. When the cursor reaches a
+//!   bucket, its vector is heapified in place and *becomes* `cur`, so the
+//!   slot refills from an empty vector and the ring's capacity stays
+//!   within a small multiple of its pending events.
 //! * **`overflow`** — the far future (beyond the ring window): a binary
 //!   heap, drained bucket-by-bucket into `cur` as the cursor reaches it.
 //!
@@ -94,8 +97,9 @@ pub struct EventQueue<E> {
     /// Active region: every pending event with `bucket <= cursor`.
     cur: BinaryHeap<Scheduled<E>>,
     /// Near future: bucket `b` with `cursor < b < cursor + RING_BUCKETS`
-    /// lives (unsorted) at slot `b % RING_BUCKETS`. Vectors keep their
-    /// allocation across window generations.
+    /// lives (unsorted) at slot `b % RING_BUCKETS`. A drained slot hands
+    /// its vector to `cur` and refills from an empty one, so the ring's
+    /// capacity tracks the events it holds.
     ring: Vec<Vec<Scheduled<E>>>,
     /// One bit per ring slot with at least one event.
     occupied: [u64; RING_WORDS],
@@ -129,19 +133,6 @@ impl<E> EventQueue<E> {
             len: 0,
             next_seq: 0,
         }
-    }
-
-    /// An empty calendar with pre-allocated active-heap capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        q.cur.reserve(cap);
-        q
-    }
-
-    /// Grows the active-heap reservation to at least `additional` more
-    /// slots (scenario-population capacity hint).
-    pub fn reserve(&mut self, additional: usize) {
-        self.cur.reserve(additional);
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
@@ -196,12 +187,10 @@ impl<E> EventQueue<E> {
                 let slot = (b % RING_BUCKETS as u64) as usize;
                 self.ring_len -= self.ring[slot].len();
                 self.occupied[slot / 64] &= !(1 << (slot % 64));
-                // `drain` keeps the slot's allocation for the next window
-                // generation; `extend` heapifies element-by-element, which
-                // is fine at bucket granularity.
-                let mut bucket = std::mem::take(&mut self.ring[slot]);
-                self.cur.extend(bucket.drain(..));
-                self.ring[slot] = bucket;
+                // `cur` is empty here, so the bucket's vector becomes the
+                // active heap (an O(n) heapify) and the slot starts its
+                // next window generation unallocated.
+                self.cur = BinaryHeap::from(std::mem::take(&mut self.ring[slot]));
             }
             if b_ovf == Some(b) {
                 while let Some(s) = self.overflow.peek() {

@@ -23,7 +23,7 @@ fn event_queue_pops_in_time_then_insertion_order() {
         // multiset that mirrors each push and pop.
         let n = g.usize_in(1, 200);
         let distinct_times = g.u64_in(1, 8);
-        let mut q = EventQueue::with_capacity(n);
+        let mut q = EventQueue::new();
         let mut model: Vec<(u64, usize)> = Vec::new();
         let check_pop =
             |q: &mut EventQueue<usize>, model: &mut Vec<(u64, usize)>| -> Result<(), String> {
